@@ -19,9 +19,6 @@ Usage::
         [--clients N] [--shards S] [--batch K] [--seed N] [--out FILE]
         [--cohorts]                 # cohort tier: fold repeat dispatches
         [--regions R] [--ases N]    # two-level shard tree over N ASes
-    python -m repro bench           # wall-clock perf benchmark
-        [--smoke] [--repeat N] [--ablation-kernel] [--out FILE]
-        [--track] [--history FILE] [--window N]
     python -m repro health routing  # metrics + SLO health verdict
         [--seed N] [--clients N] [--shards S] [--batch K]
         [--interval CYCLES] [--fault CLASS] [--out DIR]
@@ -39,14 +36,6 @@ per-client engine would have written.  ``--regions R`` deploys the
 routing shards as a two-level tree (region heads relay for members)
 over the ``--ases``-sized generated Internet topology.
 
-``bench`` is the one wall-clock job: it times the hot scenarios cold
-(crypto caches disabled) and warm (caches enabled) in the same
-process and writes ``BENCH_perf.json`` with medians and speedups,
-plus the bench-kernel section timing the fast event kernel against the
-frozen reference scheduler (``--ablation-kernel`` runs the A13 kernel ×
-burst-charging grid instead).  Wall seconds never feed back into any modeled
-number.
-
 ``trace`` runs one scenario with the span tracer attached, asserts the
 trace reconciles exactly against the cost accountants, and writes the
 export: Chrome/Perfetto ``trace_event`` JSON (open in
@@ -59,8 +48,6 @@ evaluates the scenario's SLO set (availability burn rate, fault
 recovery, p99 queueing latency, crossing budget) and exits nonzero on
 any breach.  ``--fault shard_crash --shards 1`` is the deliberate
 breach: the only shard crashes and every later event fails.
-``bench --track`` appends the run to ``BENCH_history.jsonl`` and fails
-on a noise-adjusted perf regression against the trailing baseline.
 
 ``epcstress`` sweeps the DPI automaton's working-set size across the
 EPC boundary crossed with the boundary regimes (ecall, batch,
@@ -71,7 +58,9 @@ frames, prints the sweep table and writes the byte-stable
 Ablations and the full statistical harness live under ``benchmarks/``
 (``pytest benchmarks/ --benchmark-only -s``); this CLI is the quick,
 dependency-free way to see the reproduction next to the paper's
-numbers.
+numbers.  Every number it prints is modeled; the reproduction's own
+wall-clock speed is measured end to end and per layer by ``bench/``
+(``python3 bench/run.py``, see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -176,40 +165,6 @@ def _load(args) -> None:
     with open(out, "w") as fh:
         fh.write(text)
     print(f"wrote {out}", file=sys.stderr)
-
-
-def _bench(args) -> None:
-    """Run the wall-clock perf benchmark and write BENCH_perf.json."""
-    from repro import perfbench
-    from repro.errors import ReproError
-
-    if args.ablation_kernel:
-        doc = perfbench.run_kernel_ablation(smoke=args.smoke, repeats=args.repeat)
-    else:
-        doc = perfbench.run_perf(smoke=args.smoke, repeats=args.repeat)
-    problems = perfbench.validate_perf(doc)
-    if problems:  # pragma: no cover — would be a bug in run_perf itself
-        raise ReproError(
-            "generated report fails its own schema: " + "; ".join(problems)
-        )
-    print(perfbench.format_perf(doc))
-    out = args.out or "BENCH_perf.json"
-    with open(out, "w") as fh:
-        fh.write(perfbench.perf_json(doc))
-    print(f"wrote {out}", file=sys.stderr)
-    if args.track:
-        from repro.obs import regress
-
-        report = regress.track(
-            doc, history_path=args.history, window=args.window
-        )
-        print(regress.format_compare(report))
-        if not report.ok:
-            raise ReproError(
-                f"{len(report.regressions)} perf regression(s) vs "
-                f"{args.history} (run not appended)"
-            )
-        print(f"appended entry to {args.history}", file=sys.stderr)
 
 
 def _epcstress(args) -> None:
@@ -335,11 +290,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         choices=list(SCENARIOS)
-        + ["all", "trace", "load", "bench", "health", "epcstress"],
+        + ["all", "trace", "load", "health", "epcstress"],
         help="which paper artifact to regenerate ('trace' records one, "
-             "'load' runs the workload engine, 'bench' times wall-clock "
-             "fast paths, 'health' evaluates SLOs over sampled metrics, "
-             "'epcstress' sweeps DPI working sets across the EPC boundary)",
+             "'load' runs the workload engine, 'health' evaluates SLOs "
+             "over sampled metrics, 'epcstress' sweeps DPI working sets "
+             "across the EPC boundary)",
     )
     parser.add_argument(
         "scenario",
@@ -387,7 +342,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="bench/epcstress: small problem sizes suitable for CI",
+        help="epcstress: small problem sizes suitable for CI",
     )
     parser.add_argument(
         "--frames",
@@ -401,34 +356,6 @@ def main(argv=None) -> int:
         default="hot-first",
         help="epcstress: automaton row layout in EPC pages "
              "(default: hot-first — shallow states packed first)",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="bench: timing repeats per scenario arm (default: 3)",
-    )
-    parser.add_argument(
-        "--ablation-kernel",
-        action="store_true",
-        help="bench: run the A13 event-kernel x burst-charging grid instead",
-    )
-    parser.add_argument(
-        "--track",
-        action="store_true",
-        help="bench: compare against BENCH_history.jsonl and append the "
-             "run when no metric regressed (nonzero exit otherwise)",
-    )
-    parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="bench --track: history file (default: BENCH_history.jsonl)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="bench --track: trailing baseline entries per metric (default: 5)",
     )
     parser.add_argument(
         "--interval",
@@ -495,18 +422,18 @@ def main(argv=None) -> int:
     elif args.scenario is not None:
         parser.error(f"unexpected positional {args.scenario!r} after {args.experiment!r}")
 
-    if args.smoke and args.experiment not in ("bench", "epcstress"):
-        parser.error("--smoke only applies to 'bench' and 'epcstress'")
-    if args.experiment != "bench" and (args.ablation_kernel or args.track):
-        parser.error("--ablation-kernel/--track only apply to 'bench'")
+    if args.smoke and args.experiment != "epcstress":
+        parser.error("--smoke only applies to 'epcstress'")
     if args.frames is not None and args.experiment != "epcstress":
         parser.error("--frames only applies to 'epcstress'")
-    if args.track and args.ablation_kernel:
-        parser.error("--track needs the default bench report, not an ablation")
     if args.fault is not None and args.experiment != "health":
         parser.error("--fault only applies to 'health'")
-    if args.cohorts and args.experiment not in ("load", "health"):
-        parser.error("--cohorts only applies to 'load' and 'health'")
+    if args.experiment not in ("load", "health"):
+        for flag in ("clients", "shards", "batch"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} only applies to 'load' and 'health'")
+        if args.cohorts:
+            parser.error("--cohorts only applies to 'load' and 'health'")
     if args.regions is not None and args.experiment != "load":
         parser.error("--regions only applies to 'load'")
 
@@ -528,16 +455,15 @@ def main(argv=None) -> int:
             args.top,
         ),
         "load": lambda: _load(args),
-        "bench": lambda: _bench(args),
         "health": lambda: _health(args),
         "epcstress": lambda: _epcstress(args),
     }
-    if args.experiment in ("trace", "load", "bench", "health", "epcstress"):
+    if args.experiment in ("trace", "load", "health", "epcstress"):
         selected = [args.experiment]
     elif args.experiment == "all":
         selected = [
             s for s in jobs
-            if s not in ("trace", "load", "bench", "health", "epcstress")
+            if s not in ("trace", "load", "health", "epcstress")
         ]
     else:
         selected = [args.experiment]

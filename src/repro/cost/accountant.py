@@ -26,8 +26,8 @@ UNTRUSTED = "untrusted"
 #: When off, :func:`burst_enabled` callers (the crypto-cache replay)
 #: fall back to one ``charge_*`` call per counter field instead of a
 #: single :meth:`CostAccountant.charge_burst`.  Both paths produce
-#: integer-identical counters and traces — the toggle exists for the
-#: A13 ablation, which measures what the coalescing is worth.
+#: integer-identical counters and traces — the toggle exists so the
+#: golden-table tests can hold the two paths equal.
 _BURST = True
 
 

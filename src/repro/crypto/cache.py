@@ -42,7 +42,6 @@ __all__ = [
     "CacheStats",
     "memoize_charged",
     "fast_aes_factory",
-    "fast_kernels_available",
 ]
 
 #: Flipped off by :func:`configure` / :func:`disabled` for cold-path runs.
@@ -319,11 +318,6 @@ def _probe_fast_aes() -> Optional[Any]:
         except Exception:  # pragma: no cover — environment without the wheel
             _FAST_AES = None
     return _FAST_AES
-
-
-def fast_kernels_available() -> bool:
-    """True when the C-backed AES kernel can be used."""
-    return _probe_fast_aes() is not None
 
 
 def fast_aes_factory(key: bytes) -> Optional[Tuple[Any, Any]]:

@@ -10,8 +10,8 @@ deterministically from a seed, via the repo's HMAC-DRBG
 :class:`~repro.crypto.drbg.Rng` — the same corpus every run, every
 platform, so reports built on it stay byte-stable.
 
-Shared by the working-set stress harness (:mod:`repro.sgx.epcstress`),
-the perfbench A17 microbench, and the tests.
+Shared by the working-set stress harness (:mod:`repro.sgx.epcstress`)
+and the tests.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ __all__ = [
     "SimError",
     "create",
     "use_kernel",
-    "current_kernel",
 ]
 
 
@@ -415,24 +414,18 @@ class Simulator:
 #: The Simulator class :func:`create` instantiates.  Swapped by
 #: :func:`use_kernel`; the fast kernel is always the default.
 _ACTIVE_KERNEL: type = Simulator
-_KERNEL_NAME = "fast"
 
 
 def create() -> "Simulator":
     """Construct a simulator on the currently selected kernel.
 
     Deployments (routing, Tor, middlebox, endpoint harnesses) build
-    their event loop through this factory so the differential tests and
-    the A13 ablation can re-run whole experiments on the frozen
-    reference scheduler via :func:`use_kernel`.  Code that imports
-    :class:`Simulator` directly always gets the fast kernel.
+    their event loop through this factory so the differential tests can
+    re-run whole experiments on the frozen reference scheduler via
+    :func:`use_kernel`.  Code that imports :class:`Simulator` directly
+    always gets the fast kernel.
     """
     return _ACTIVE_KERNEL()
-
-
-def current_kernel() -> str:
-    """Name of the kernel :func:`create` builds: ``fast`` or ``reference``."""
-    return _KERNEL_NAME
 
 
 @contextlib.contextmanager
@@ -444,7 +437,7 @@ def use_kernel(name: str) -> Iterator[None]:
     ``use_kernel("fast")`` restores the default.  Only construction is
     affected — simulators already built keep their kernel.
     """
-    global _ACTIVE_KERNEL, _KERNEL_NAME
+    global _ACTIVE_KERNEL
     if name == "fast":
         cls: type = Simulator
     elif name == "reference":
@@ -453,9 +446,8 @@ def use_kernel(name: str) -> Iterator[None]:
         cls = sim_reference.Simulator
     else:
         raise NetworkError(f"unknown simulator kernel {name!r}")
-    prior_cls, prior_name = _ACTIVE_KERNEL, _KERNEL_NAME
-    _ACTIVE_KERNEL, _KERNEL_NAME = cls, name
+    prior, _ACTIVE_KERNEL = _ACTIVE_KERNEL, cls
     try:
         yield
     finally:
-        _ACTIVE_KERNEL, _KERNEL_NAME = prior_cls, prior_name
+        _ACTIVE_KERNEL = prior

@@ -13,7 +13,7 @@ The deterministic classes below pin the modeled costs against
 ``DEFAULT_MODEL`` field by field: submit/reap marshalling, the
 adaptive spin -> sleep -> doorbell worker cycle, both backpressure
 modes, and the worker-less fallback crossing that ablation A14 rests
-on.
+on.  :class:`TestRingsAblationGrid` pins the A14 grid itself.
 """
 
 import pytest
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from tests.fixtures import make_author_key
 
+from repro import experiments
 from repro.cost import DEFAULT_MODEL
 from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
@@ -539,3 +540,36 @@ class TestRuntimeIntegration:
         enclave.enable_ring_ecalls()
         ticket = enclave.ecall_submit("double", 21)
         assert enclave.ecall_reap(ticket) == 42
+
+
+# ---------------------------------------------------------------------------
+# A14: the sync-vs-async crossing grid, integer-exact
+# ---------------------------------------------------------------------------
+
+
+class TestRingsAblationGrid:
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return experiments.run_rings_ablation(n_records=64)["grid"]
+
+    def test_grid_pinned(self, grid):
+        assert [
+            (cell["mode"], cell["depth"], cell["crossings"], cell["cycles"])
+            for cell in grid
+        ] == [
+            ("ecall", 1, 64, 1331840),
+            ("switchless", 1, 0, 63360),
+            ("rings", 1, 64, 1483904),
+            ("rings", 2, 32, 766144),
+            ("rings", 4, 16, 407264),
+            ("rings", 8, 8, 227824),
+        ]
+
+    def test_deep_rings_halve_crossings_twice(self, grid):
+        # The acceptance bar: >= 2x crossings/record reduction at
+        # depth >= 4 relative to the one-crossing-per-record baseline.
+        deep = [
+            cell for cell in grid if cell["mode"] == "rings" and cell["depth"] >= 4
+        ]
+        assert deep
+        assert all(cell["crossing_reduction"] >= 2 for cell in deep)

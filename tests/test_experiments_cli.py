@@ -207,7 +207,12 @@ class TestLoadCli:
         with pytest.raises(SystemExit):
             main(["table2", "--cohorts"])
         with pytest.raises(SystemExit):
-            main(["bench", "--regions", "2"])
+            main(["epcstress", "--regions", "2"])
+        for flag in ("--clients", "--shards", "--batch"):
+            with pytest.raises(SystemExit):
+                main(["switchless", flag, "3"])
+        with pytest.raises(SystemExit):
+            main(["epcstress", "--smoke", "--clients", "5"])
 
     def test_load_cohort_ablation_formats(self):
         grid = experiments.run_load_cohort_ablation(

@@ -14,6 +14,8 @@ no information — and for small test sizes it really generates one.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Tuple
 
 from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
@@ -28,6 +30,7 @@ __all__ = [
     "MODP_2048",
     "generate_parameters",
     "generate_keypair",
+    "gexp",
     "shared_secret",
 ]
 
@@ -118,11 +121,54 @@ def _charge_modexp(group: DhGroup) -> None:
     cost_context.charge_normal(model.modexp_normal(group.bits))
 
 
+@functools.lru_cache(maxsize=4)
+def _generator_table(p: int, g: int) -> Tuple[int, ...]:
+    """Fixed-base window table for ``g`` mod ``p``, flattened row-major.
+
+    Entry ``16*i + j`` is ``g^(j * 16^i) mod p``: one row of 16 per
+    4-bit digit of an exponent, enough rows for every exponent as wide
+    as ``p`` rounded up to whole bytes.  The table is a function of
+    public group constants only, so it is built once per (p, g) and
+    kept — keyed on the integers, not the :class:`DhGroup`, so a group
+    rebuilt from the wire under another name shares it.
+    """
+    table = []
+    base = g % p
+    for _ in range(2 * ((p.bit_length() + 7) // 8)):
+        row = [1, base]
+        for _ in range(14):
+            row.append(row[-1] * base % p)
+        table.extend(row)
+        base = row[-1] * base % p
+    return tuple(table)
+
+
+def gexp(group: DhGroup, x: int) -> int:
+    """``g^x mod p`` from the group's fixed-base table.
+
+    Exact for every ``0 <= x`` no wider than ``p``; at most one table
+    multiplication per 4-bit digit of ``x`` and no squarings.
+    """
+    p = group.p
+    if x < 0 or x.bit_length() > p.bit_length():
+        raise CryptoError("exponent out of range for the fixed-base table")
+    table = _generator_table(p, group.g)
+    acc = 1
+    row = 0
+    for byte in x.to_bytes((p.bit_length() + 7) // 8, "little"):
+        if byte & 15:
+            acc = acc * table[row + (byte & 15)] % p
+        if byte >> 4:
+            acc = acc * table[row + 16 + (byte >> 4)] % p
+        row += 32
+    return acc
+
+
 def generate_keypair(group: DhGroup, rng: Rng) -> DhKeyPair:
     """Sample a private exponent and compute the public value."""
     private = rng.randint(2, group.p - 2)
     _charge_modexp(group)
-    public = pow(group.g, private, group.p)
+    public = gexp(group, private)
     return DhKeyPair(group=group, private=private, public=public)
 
 

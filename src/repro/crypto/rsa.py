@@ -41,7 +41,11 @@ class RsaPublicKey:
 
 @dataclasses.dataclass(frozen=True)
 class RsaPrivateKey:
-    """Full private key (keeps p/q for CRT)."""
+    """Full private key.
+
+    ``rsa_sign`` exponentiates by ``d`` modulo ``n``; ``p`` and ``q``
+    are kept, but nothing uses them (there is no CRT path).
+    """
 
     n: int
     e: int

@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.cost import context as cost_context
-from repro.crypto.dh import MODP_1024, DhGroup
+from repro.crypto import cache
+from repro.crypto.dh import MODP_1024, DhGroup, gexp
 from repro.crypto.drbg import HmacDrbg, Rng
 from repro.crypto.hashes import sha256
 from repro.crypto.util import bytes_to_int, int_to_bytes
@@ -52,7 +53,7 @@ def generate_schnorr_keypair(rng: Rng, group: DhGroup = MODP_1024) -> SchnorrKey
     q = (group.p - 1) // 2  # prime-order subgroup for safe primes
     x = rng.randint(2, q - 1)
     cost_context.charge_normal(cost_context.current_model().modexp_normal(group.bits))
-    y = pow(group.g, x, group.p)
+    y = gexp(group, x)
     return SchnorrKeyPair(group=group, x=x, y=y)
 
 
@@ -75,12 +76,43 @@ def schnorr_sign(key: SchnorrKeyPair, message: bytes) -> SchnorrSignature:
 
     nonce_drbg = HmacDrbg(int_to_bytes(key.x) + sha256(message), b"schnorr-nonce")
     k = (bytes_to_int(nonce_drbg.generate((group.bits + 7) // 8)) % (q - 2)) + 2
-    r = pow(group.g, k, group.p)
+    r = gexp(group, k)
     e = _challenge(group, r, key.y, message) % q
     s = (k + key.x * e) % q
     return SchnorrSignature(e=e, s=s)
 
 
+def _legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for odd prime ``p`` — binary Jacobi recurrence."""
+    a %= p
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and p & 7 in (3, 5):
+            result = -result
+        if a & 3 == 3 and p & 3 == 3:
+            result = -result
+        a, p = p % a, a
+    return result if p == 1 else 0
+
+
+def _commitment(group: DhGroup, public: int, signature: SchnorrSignature) -> int:
+    """r' = g^s * y^(q-e) mod p, for 1 < y < p-1 and prime p.
+
+    This is g^(k + xe) * g^(-xe) = g^k when y is in the order-q
+    subgroup.  Euler's criterion gives y^q = (y/p), so y^(q-e) =
+    (y/p) * (y^e)^-1: the same integer for every y in range, residue or
+    not, from a 256-bit exponent instead of a 1023-bit one.
+    """
+    p = group.p
+    y_part = pow(pow(public, signature.e, p), -1, p)
+    if _legendre(public, p) < 0:
+        y_part = p - y_part
+    return gexp(group, signature.s) * y_part % p
+
+
+@cache.memoize_charged(name="schnorr-verify", maxsize=512)
 def schnorr_verify(
     group: DhGroup, public: int, message: bytes, signature: SchnorrSignature
 ) -> bool:
@@ -92,9 +124,5 @@ def schnorr_verify(
         return False
     if not 1 < public < group.p - 1:
         return False
-    # r' = g^s * y^(-e) = g^(k + xe) * g^(-xe) = g^k
-    r = (
-        pow(group.g, signature.s, group.p)
-        * pow(public, q - signature.e, group.p)  # y^q = 1 in the subgroup
-    ) % group.p
+    r = _commitment(group, public, signature)
     return _challenge(group, r, public, message) % q == signature.e

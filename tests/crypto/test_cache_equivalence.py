@@ -9,7 +9,8 @@ it may change *wall time only*.  For any input, running a primitive
 
 must produce byte-identical output and *integer-equal* cost counters.
 These hypothesis properties pin that contract for every cached kernel:
-AES block ops, CTR keystreams, ECB/CBC, HMAC, CMAC and HKDF.
+AES block ops, CTR keystreams, ECB/CBC, HMAC, CMAC, HKDF and Schnorr
+verification.
 
 The record-channel regression at the bottom pins the satellite fix:
 one key-schedule expansion per distinct session key, while
@@ -24,9 +25,11 @@ from repro.cost import context as cost_context
 from repro.cost.accountant import CostAccountant
 from repro.crypto import cache
 from repro.crypto.aes import AES, key_schedule_stats
+from repro.crypto.drbg import Rng
 from repro.crypto.kdf import hkdf
 from repro.crypto.mac import aes_cmac, cmac_verify, hmac_sha256, hmac_verify
 from repro.crypto.modes import CtrStream, cbc_encrypt, ecb_decrypt, ecb_encrypt
+from repro.crypto.schnorr import generate_schnorr_keypair, schnorr_sign, schnorr_verify
 
 KEYS = st.binary(min_size=16, max_size=16) | st.binary(min_size=32, max_size=32)
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -116,6 +119,19 @@ class TestCacheEquivalence:
     )
     def test_hkdf(self, ikm, salt, info, length):
         assert_equivalent(lambda: hkdf(ikm, salt=salt, info=info, length=length))
+
+    @settings(max_examples=5, deadline=None)
+    @given(message=st.binary(max_size=64), tamper=st.booleans())
+    def test_schnorr_verify(self, message, tamper):
+        key = generate_schnorr_keypair(Rng(b"cache-equivalence"))
+        signature = schnorr_sign(key, message)
+        checked = message + b"!" if tamper else message
+
+        def op():
+            return schnorr_verify(key.group, key.y, checked, signature)
+
+        assert_equivalent(op)
+        assert op() is not tamper
 
 
 class TestRecordChannelKeySchedule:

@@ -1,5 +1,6 @@
 """The load engine: determinism, report schema, exact reconciliation."""
 
+import hashlib
 import json
 
 import pytest
@@ -184,3 +185,27 @@ class TestScenarios:
                                  seed=0, n_events=3)
         assert sum(result.outcomes.values()) == 3
         assert result.outcomes.get("ok") == 3
+
+
+#: sha256 of bench_json for small tor and middlebox runs.  The bytes
+#: depend on every DH, Schnorr and RSA result along the way, so a
+#: change to the public-key arithmetic that alters any value fails here.
+PINNED_BENCH_DIGESTS = {
+    ("tor", 0): "dbed765921f742aa85c1ca00072fe3ee723057274ce15f5643da6e84afa1ebe6",
+    ("tor", 1): "7394384a60f4b11848a5fce3d1da2323ca6c635cdc55680f1bf87799ffc9e7ff",
+    ("middlebox", 0): "acc16a8dee4606fa1bd7181968dd2778ff61d1620b80352d5034d227ba48a2ba",
+    ("middlebox", 1): "85a8623c70acc56437df496f4c2419d37fde36054bb8be538064771d2ddc68de",
+}
+
+PINNED_RUNS = {
+    "tor": dict(n_clients=4, n_shards=1, batch=2, n_events=4),
+    "middlebox": dict(n_clients=3, n_shards=1, batch=2, n_events=3),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("scenario,seed", sorted(PINNED_BENCH_DIGESTS))
+    def test_bench_json_matches_pinned_digest(self, scenario, seed):
+        text = bench_json(run_load_engine(scenario, seed=seed, **PINNED_RUNS[scenario]))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_BENCH_DIGESTS[(scenario, seed)]

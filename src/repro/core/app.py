@@ -290,11 +290,6 @@ class SecureApplicationProgram(EnclaveProgram):
             _frame(FRAME_RECORD_BATCH, session.channel.protect_many(payloads))
         )
 
-    def _established_sessions(self) -> List[str]:
-        return [
-            sid for sid, s in self._sessions.items() if s.state == "established"
-        ]
-
     def _session(self, session_id: str) -> _Session:
         session = self._sessions.get(session_id)
         if session is None:

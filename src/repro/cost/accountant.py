@@ -74,11 +74,18 @@ class Counter:
     faults_injected: int = 0
 
     def copy(self) -> "Counter":
-        return dataclasses.replace(self)
+        return Counter(**self.as_dict())
 
     def as_dict(self) -> Dict[str, int]:
         """Field-name → count mapping (for exporters and reports)."""
-        return dataclasses.asdict(self)
+        return {
+            "sgx_instructions": self.sgx_instructions,
+            "normal_instructions": self.normal_instructions,
+            "enclave_crossings": self.enclave_crossings,
+            "allocations": self.allocations,
+            "switchless_calls": self.switchless_calls,
+            "faults_injected": self.faults_injected,
+        }
 
     def __iadd__(self, other: "Counter") -> "Counter":
         self.sgx_instructions += other.sgx_instructions

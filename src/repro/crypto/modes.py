@@ -74,11 +74,6 @@ class CtrStream:
         self._counter = int.from_bytes(nonce.ljust(16, b"\x00"), "big")
         self._buffer = b""
 
-    def _refill(self) -> None:
-        block = self._counter.to_bytes(16, "big")
-        self._counter = (self._counter + 1) % (1 << 128)
-        self._buffer += self._cipher.encrypt_block(block)
-
     def keystream(self, n: int) -> bytes:
         """The next ``n`` keystream bytes."""
         need = n - len(self._buffer)

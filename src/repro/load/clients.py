@@ -39,7 +39,13 @@ class ClientEvent:
     key: int          #: request key (ASN / path draw / flow id)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "seq": self.seq,
+            "client_id": self.client_id,
+            "arrival": self.arrival,
+            "op": self.op,
+            "key": self.key,
+        }
 
 
 def generate_events(

@@ -34,7 +34,6 @@ uncached (correct, just without the replay speedup).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Iterable, List, Optional
 
 from repro import faults
@@ -122,9 +121,7 @@ class _CohortCache:
             shard_id: acct.snapshot() for shard_id, acct in accountants.items()
         }
         stats_before = {
-            shard_id: dataclasses.asdict(
-                dep.enclaves[shard_id]._program._core.stats
-            )
+            shard_id: dict(vars(dep.enclaves[shard_id]._program._core.stats))
             for shard_id in dep._live_ids()
         }
         seqs_before = self._chan_seqs()
@@ -145,9 +142,7 @@ class _CohortCache:
                 acct_delta[shard_id] = domains
         stats_delta = {}
         for shard_id, before in stats_before.items():
-            after = dataclasses.asdict(
-                dep.enclaves[shard_id]._program._core.stats
-            )
+            after = vars(dep.enclaves[shard_id]._program._core.stats)
             fields = {
                 field: after[field] - value
                 for field, value in before.items()

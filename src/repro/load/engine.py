@@ -180,9 +180,6 @@ class _RoutingBackend:
             for shard_id, acct in self.dep.accountants().items()
         }
         self._lost = False
-        #: (owner, asn) -> encoded routes reply, for skip_dispatch
-        #: fast-forwarding (the RIB is frozen once sealed).
-        self._reply_bytes: Dict[Tuple[int, int], bytes] = {}
 
     def keys(self) -> List[int]:
         return sorted(self.dep.topology.asns)
@@ -211,7 +208,6 @@ class _RoutingBackend:
         """
         from repro.crypto.cache import _ChargeRecorder
         from repro.net.channel import encode_record_batch
-        from repro.routing import messages as routing_msg
         from repro.load.shards import SMSG_QUERY, SMSG_REPLY
         from repro.wire import Writer
         from repro.cost import context as cost_context
@@ -247,21 +243,14 @@ class _RoutingBackend:
                         Writer().u8(SMSG_QUERY).u64(req_id).u64(asn).getvalue()
                         for req_id, asn in chunk
                     ]
-                    replies = []
-                    for req_id, asn in chunk:
-                        encoded = self._reply_bytes.get((owner, asn))
-                        if encoded is None:
-                            encoded = routing_msg.encode_routes_msg(
-                                core.routes_for(asn)
-                            )
-                            self._reply_bytes[(owner, asn)] = encoded
-                        replies.append(
-                            Writer()
-                            .u8(SMSG_REPLY)
-                            .u64(req_id)
-                            .varbytes(encoded)
-                            .getvalue()
-                        )
+                    replies = [
+                        Writer()
+                        .u8(SMSG_REPLY)
+                        .u64(req_id)
+                        .varbytes(core.reply_for(asn))
+                        .getvalue()
+                        for req_id, asn in chunk
+                    ]
                     if len(chunk) == 1:
                         q_len, r_len = len(queries[0]), len(replies[0])
                     else:

@@ -118,7 +118,7 @@ class ShardControllerProgram(SecureApplicationProgram):
         _charge_serialize(len(policy_bytes))
         if core.controller.policy_of(asn).encode() != policy_bytes:
             raise ShardError(f"AS{asn} already represented")
-        encoded = msg.encode_routes_msg(core.routes_for(asn))
+        encoded = core.reply_for(asn)
         _charge_serialize(len(encoded))
         return encoded
 
@@ -240,7 +240,7 @@ class ShardControllerProgram(SecureApplicationProgram):
             if owner is None:
                 raise ShardError(f"AS{asn} has no owner")
             if owner == core.shard_id:
-                encoded = msg.encode_routes_msg(core.routes_for(asn))
+                encoded = core.reply_for(asn)
                 _charge_serialize(len(encoded))
                 served[req_id] = encoded
                 continue
@@ -306,7 +306,7 @@ class ShardControllerProgram(SecureApplicationProgram):
         if tag == SMSG_QUERY:
             req_id = reader.u64()
             asn = reader.u64()
-            encoded = msg.encode_routes_msg(core.routes_for(asn))
+            encoded = core.reply_for(asn)
             reply = (
                 Writer()
                 .u8(SMSG_REPLY)

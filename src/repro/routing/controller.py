@@ -223,6 +223,3 @@ class InterDomainController:
             raise PolicyError(f"AS{asn} is not a participant")
         self.stats.route_pushes += 1
         return dict(self.compute_routes()[asn])
-
-    def full_rib_size(self) -> int:
-        return sum(len(v) for v in self.compute_routes().values())

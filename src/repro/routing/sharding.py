@@ -39,6 +39,7 @@ from repro.cost import context as cost_context
 from repro.errors import PolicyError, ShardError
 from repro.routing.bgp import Route
 from repro.routing.controller import InterDomainController
+from repro.routing.messages import encode_routes_msg
 from repro.routing.policy import LocalPolicy
 
 __all__ = [
@@ -258,6 +259,8 @@ class ShardCore:
         self.computed: Optional[Dict[int, Dict[str, Route]]] = None
         #: Merged full RIB for owned ASes (union of every shard's slice).
         self.rib: Dict[int, Dict[str, Route]] = {}
+        #: asn -> encoded reply; merge_slice (sole writer of ``rib``) drops it.
+        self._replies: Dict[int, bytes] = {}
 
     # -- registration / sync ------------------------------------------------
 
@@ -325,6 +328,7 @@ class ShardCore:
                     f"unowned AS{asn}"
                 )
             self.rib.setdefault(asn, {}).update(slices[asn])
+            self._replies.pop(asn, None)
         self.stats.slice_routes_in += sum(len(v) for v in slices.values())
 
     # -- serving ------------------------------------------------------------
@@ -334,6 +338,13 @@ class ShardCore:
         if asn not in self.owned:
             raise ShardError(f"shard {self.shard_id} does not own AS{asn}")
         return dict(self.rib.get(asn, {}))
+
+    def reply_for(self, asn: int) -> bytes:
+        """``encode_routes_msg(routes_for(asn))``, encoded once per RIB change."""
+        if asn not in self.owned or asn not in self._replies:
+            # routes_for raises ShardError for an unowned AS, hit or miss.
+            self._replies[asn] = encode_routes_msg(self.routes_for(asn))
+        return self._replies[asn]
 
 
 class ShardedInterDomainController:

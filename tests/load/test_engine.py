@@ -1,5 +1,6 @@
 """The load engine: determinism, report schema, exact reconciliation."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.errors import ReproError
 from repro.load.clients import event_log_fingerprint, generate_events
+from repro.load.cohorts import run_load_cohorts
 from repro.load.engine import (
     LOAD_SCENARIOS,
     default_n_events,
@@ -36,6 +38,12 @@ class TestEventGeneration:
         second = generate_events("routing", n_clients, n_events, keys, seed)
         assert event_log_fingerprint(first) == event_log_fingerprint(second)
         assert [e.as_dict() for e in first] == [e.as_dict() for e in second]
+
+    def test_as_dict_matches_dataclass_fields_in_order(self):
+        for event in generate_events("routing", 3, 5, [1, 2], seed=4):
+            assert list(event.as_dict().items()) == list(
+                dataclasses.asdict(event).items()
+            )
 
     def test_different_seeds_differ(self):
         keys = list(range(1, 20))
@@ -187,25 +195,60 @@ class TestScenarios:
         assert result.outcomes.get("ok") == 3
 
 
-#: sha256 of bench_json for small tor and middlebox runs.  The bytes
+#: sha256 of bench_json for small runs.  The tor and middlebox bytes
 #: depend on every DH, Schnorr and RSA result along the way, so a
 #: change to the public-key arithmetic that alters any value fails here.
+#: The routing bytes cover each event's reply_digest (the encoded route
+#: reply) and, through the AES block counts, every record length sent
+#: over the inter-shard channels.
 PINNED_BENCH_DIGESTS = {
     ("tor", 0): "dbed765921f742aa85c1ca00072fe3ee723057274ce15f5643da6e84afa1ebe6",
     ("tor", 1): "7394384a60f4b11848a5fce3d1da2323ca6c635cdc55680f1bf87799ffc9e7ff",
     ("middlebox", 0): "acc16a8dee4606fa1bd7181968dd2778ff61d1620b80352d5034d227ba48a2ba",
     ("middlebox", 1): "85a8623c70acc56437df496f4c2419d37fde36054bb8be538064771d2ddc68de",
+    ("routing", 0): "f44f8d015e4aca3fc6869885345e6eb7b9e6607d988ef49f68881931c3beded2",
+    ("routing", 1): "35f6be4661a0132e17f59c2d809829ddf81771d25f6241519be2d492ca29d84e",
 }
 
 PINNED_RUNS = {
     "tor": dict(n_clients=4, n_shards=1, batch=2, n_events=4),
     "middlebox": dict(n_clients=3, n_shards=1, batch=2, n_events=3),
+    "routing": dict(n_clients=20, n_shards=2, batch=4, n_events=40),
 }
+
+#: Cohort-tier routing run whose replayed dispatches fast-forward the
+#: inter-shard channels (26 skipped query/reply record pairs), so the
+#: skipped reply lengths reach the later dispatches' AES charges.
+PINNED_COHORT_DIGEST = "c6ae13f66f93a1a73bb572afbc37ae696635a2e84c2f6f7d72010eff3640365f"
+
+#: Per-client routing runs under the shard_crash fault class: replies
+#: re-sent on re-registration and served by the adopting shard.
+PINNED_CRASH_DIGESTS = {
+    0: "4707ca4c74f7d6fb81592552173a998f4a5e059b80d2e63dedcfe94494574708",
+    1: "9f05ad20ef3e7f81e5c732d35483d71fdbdb9467191a4f73b19ca171db40edf9",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestPinnedBytes:
     @pytest.mark.parametrize("scenario,seed", sorted(PINNED_BENCH_DIGESTS))
     def test_bench_json_matches_pinned_digest(self, scenario, seed):
         text = bench_json(run_load_engine(scenario, seed=seed, **PINNED_RUNS[scenario]))
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == PINNED_BENCH_DIGESTS[(scenario, seed)]
+        assert _sha256(text) == PINNED_BENCH_DIGESTS[(scenario, seed)]
+
+    def test_routing_cohorts_match_pinned_digest(self):
+        result = run_load_cohorts("routing", 300, 2, 1, 1, n_ases=8)
+        assert _sha256(bench_json(result)) == PINNED_COHORT_DIGEST
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_CRASH_DIGESTS))
+    def test_routing_shard_crash_matches_pinned_digest(self, seed):
+        plan = faults.matrix_plan("shard_crash", seed)
+        with faults.active(plan):
+            result = run_load_engine(
+                "routing", n_clients=20, n_shards=2, batch=4, seed=seed, n_events=60
+            )
+        assert plan.log.events, "the plan never fired — test proves nothing"
+        assert _sha256(bench_json(result)) == PINNED_CRASH_DIGESTS[seed]

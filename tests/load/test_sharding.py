@@ -5,6 +5,8 @@ import pytest
 from repro.cost import CostAccountant
 from repro.cost import context as cost_context
 from repro.errors import ShardError
+from repro.load.shards import ShardedRoutingDeployment
+from repro.routing.bgp import Route
 from repro.routing.controller import InterDomainController
 from repro.routing.deployment import build_policies
 from repro.routing.messages import encode_routes_msg
@@ -153,3 +155,63 @@ class TestAdoption:
             core.adopt(asn, policies[other].encode())
         core.adopt(asn, policies[asn].encode())   # identical bytes: fine
         assert asn in core.owned
+
+
+class TestReplyCache:
+    def _sealed_cores(self, n_shards=3):
+        _topology, policies = build_policies(14, b"shard-reply")
+        return policies, _sharded(policies, n_shards).cores
+
+    def test_reply_equals_fresh_encoding_for_every_owned_as(self):
+        policies, cores = self._sealed_cores()
+        owned = [(core, asn) for core in cores.values() for asn in core.owned]
+        assert sorted(asn for _core, asn in owned) == sorted(policies)
+        for core, asn in owned:
+            first = core.reply_for(asn)
+            assert first == encode_routes_msg(core.routes_for(asn))
+            assert core.reply_for(asn) == first
+
+    def test_merge_slice_invalidates_the_touched_as(self):
+        _policies, cores = self._sealed_cores()
+        core = cores[0]
+        asn = sorted(core.owned)[0]
+        before = core.reply_for(asn)
+        prefix = sorted(core.routes_for(asn))[0]
+        replaced = Route(prefix=prefix, path=(asn, 64999), local_pref=7)
+        added = Route(prefix="203.0.113.0/24", path=(asn, 64998), local_pref=1)
+        core.merge_slice({asn: {prefix: replaced, added.prefix: added}})
+        after = core.reply_for(asn)
+        assert after != before
+        assert after == encode_routes_msg(core.routes_for(asn))
+        assert core.routes_for(asn)[prefix] == replaced
+        assert core.routes_for(asn)[added.prefix] == added
+
+    def test_unowned_as_raises_cold_and_warm(self):
+        _policies, cores = self._sealed_cores()
+        core, other = cores[0], cores[1]
+        stranger = sorted(other.owned)[0]
+        with pytest.raises(ShardError):
+            core.reply_for(stranger)
+        other.reply_for(stranger)              # warm the owner's cache
+        for asn in sorted(core.owned):
+            core.reply_for(asn)                # and every owned entry here
+        with pytest.raises(ShardError):
+            core.reply_for(stranger)
+
+    @pytest.mark.parametrize("n_shards,regions", [(4, 2), (5, 3)])
+    def test_two_level_deployment_replies_agree(self, n_shards, regions):
+        dep = ShardedRoutingDeployment(
+            n_shards, n_ases=16, seed=b"shard-reply-tree", regions=regions
+        )
+        dep.register_all()
+        dep.seal()
+        reference = _unsharded(dep.policies)
+        seen = []
+        for enclave in dep.enclaves.values():
+            core = enclave._program._core
+            for asn in sorted(core.owned):
+                expect = encode_routes_msg(reference.routes_for(asn))
+                assert core.reply_for(asn) == expect
+                assert core.reply_for(asn) == expect
+                seen.append(asn)
+        assert sorted(seen) == sorted(dep.policies)

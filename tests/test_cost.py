@@ -46,6 +46,13 @@ class TestCounter:
             "faults_injected": 6,
         }
 
+    def test_as_dict_and_copy_follow_the_dataclass_fields(self):
+        """Exporters iterate as_dict in field order; a new field must
+        show up in as_dict and copy, in the same order as asdict."""
+        c = Counter(1, 2, 3, 4, 5, 6)
+        assert list(c.as_dict().items()) == list(dataclasses.asdict(c).items())
+        assert c.copy() == c and c.copy() is not c
+
     def test_cycles_helper_matches_model(self):
         c = Counter(sgx_instructions=8, normal_instructions=348_000_000)
         assert cycles(c) == DEFAULT_MODEL.cycles(8, 348e6)

@@ -164,9 +164,26 @@ def gexp(group: DhGroup, x: int) -> int:
     return acc
 
 
+def _exponent_bits(group: DhGroup) -> int:
+    """Private-exponent width: twice the group's security strength.
+
+    This is the short-exponent rule of RFC 7919 Section 5.2 and NIST SP
+    800-56A for safe-prime groups -- 160 bits on MODP-1024, 224 on
+    MODP-2048 -- clamped below the modulus for small generated groups
+    so every exponent stays in ``[2, p-2]``.
+    """
+    # Security strength by modulus size, NIST SP 800-57 Part 1 Table 2.
+    strength = 112 if group.bits >= 2048 else 80
+    return min(2 * strength, group.p.bit_length() - 2)
+
+
 def generate_keypair(group: DhGroup, rng: Rng) -> DhKeyPair:
-    """Sample a private exponent and compute the public value."""
-    private = rng.randint(2, group.p - 2)
+    """Sample a short private exponent and compute the public value.
+
+    The exponent is drawn from ``[2, 2^w)`` (see :func:`_exponent_bits`);
+    the modeled charge is still one modexp at the group size.
+    """
+    private = rng.randint(2, (1 << _exponent_bits(group)) - 1)
     _charge_modexp(group)
     public = gexp(group, private)
     return DhKeyPair(group=group, private=private, public=public)

@@ -7,6 +7,7 @@ deterministic given the caller's :class:`~repro.crypto.drbg.Rng`.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from repro.crypto.drbg import Rng
@@ -19,6 +20,23 @@ _SMALL_PRIMES = [
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 ]
+
+# Product of the odd primes below 2048: one gcd against it rejects about
+# 85% of random odd candidates before any Miller-Rabin round.
+_SIEVE_LIMIT = 2048
+_PRIMORIAL = math.prod(
+    n for n in range(3, _SIEVE_LIMIT, 2)
+    if all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+)
+
+# Damgard-Landrock-Pomerance (HAC Table 4.4): Miller-Rabin rounds that
+# keep the error on a *random* candidate of at least k bits below 2^-80.
+# The bound does not hold for adversarial inputs, so values received
+# from peers go through is_probable_prime's 40-round default instead.
+_RANDOM_CANDIDATE_ROUNDS = (
+    (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
+    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
+)
 
 
 def is_probable_prime(n: int, rng: Rng, rounds: int = 40) -> bool:
@@ -51,13 +69,23 @@ def is_probable_prime(n: int, rng: Rng, rounds: int = 40) -> bool:
     return True
 
 
-def generate_prime(bits: int, rng: Rng, rounds: int = 40) -> int:
-    """A random probable prime of exactly ``bits`` bits."""
+def generate_prime(bits: int, rng: Rng) -> int:
+    """A random probable prime of exactly ``bits`` bits.
+
+    Candidates sharing a factor with an odd prime below 2048 are
+    rejected by one gcd; survivors get the Miller-Rabin round count
+    that bounds the error on a random ``bits``-bit candidate by 2^-80.
+    """
     if bits < 8:
         raise CryptoError("prime size too small")
+    # A narrower candidate could itself be one of the sieving primes.
+    sieve = 1 << (bits - 1) >= _SIEVE_LIMIT
+    rounds = next((t for k, t in _RANDOM_CANDIDATE_ROUNDS if bits >= k), 40)
     while True:
         candidate = rng.randbits(bits)
         candidate |= (1 << (bits - 1)) | 1  # exact width, odd
+        if sieve and math.gcd(candidate, _PRIMORIAL) != 1:
+            continue
         if is_probable_prime(candidate, rng, rounds):
             return candidate
 

@@ -60,8 +60,12 @@ class RsaPrivateKey:
 def generate_rsa_keypair(bits: int, rng: Rng, e: int = 65537) -> RsaPrivateKey:
     """Generate an RSA key of ``bits`` modulus size.
 
-    Pure-Python prime generation: 512/1024-bit keys are fast enough for
-    simulations; tests use 512.
+    Both primes come from :func:`~repro.crypto.numtheory.generate_prime`:
+    a gcd sieve against the odd primes below 2048, then the Miller-Rabin
+    round count for random candidates of that width (12 rounds for the
+    256-bit primes of the 512-bit keys every scenario uses).  Key
+    generation is uncharged set-up work, so only wall-clock time depends
+    on it.
     """
     if bits < 64 or bits % 2:
         raise CryptoError("RSA modulus size must be even and >= 64 bits")

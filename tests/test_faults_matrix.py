@@ -61,6 +61,131 @@ def test_network_faults_always_recover(matrix, scenario, fault_class):
     assert cell["outcome"] == "ok", cell
 
 
+# (outcome, faults_injected) of every cell at the two CI seeds.  The
+# log digest is deliberately not pinned: Writer.varint and
+# SchnorrSignature.encode write integers at minimal width, so some
+# datagram lengths depend on key values, and a change to key generation
+# can move which datagram a seeded network fault hits.
+PINNED_CELLS = {
+    0: {
+        "routing": {
+            "aex_storm": ("ok", 30),
+            "corrupt": ("ok", 3),
+            "delay": ("ok", 4),
+            "drop": ("ok", 3),
+            "duplicate": ("ok", 4),
+            "egetkey_fail": ("ok", 2),
+            "lost_completion": ("ok", 0),
+            "mac_corrupt": ("ok", 1),
+            "ocall_fail": ("ok", 2),
+            "paging_storm": ("ok", 0),
+            "quote_reject": ("ok", 1),
+            "reorder": ("ok", 4),
+            "ring_worker_stall": ("ok", 0),
+            "shard_crash": ("ok", 0),
+            "worker_stall": ("ok", 0),
+        },
+        "tor": {
+            "aex_storm": ("ok", 50),
+            "corrupt": ("ok", 5),
+            "delay": ("ok", 14),
+            "drop": ("ok", 10),
+            "duplicate": ("ok", 15),
+            "egetkey_fail": ("ok", 2),
+            "lost_completion": ("ok", 5),
+            "mac_corrupt": ("ok", 1),
+            "ocall_fail": ("TorError", 2),
+            "paging_storm": ("ok", 0),
+            "quote_reject": ("ok", 1),
+            "reorder": ("ok", 14),
+            "ring_worker_stall": ("ok", 5),
+            "shard_crash": ("ok", 0),
+            "worker_stall": ("ok", 0),
+        },
+        "middlebox": {
+            "aex_storm": ("ok", 5),
+            "corrupt": ("ok", 3),
+            "delay": ("ok", 5),
+            "drop": ("ok", 3),
+            "duplicate": ("ok", 5),
+            "egetkey_fail": ("ok", 2),
+            "lost_completion": ("ok", 4),
+            "mac_corrupt": ("NetworkError", 1),
+            "ocall_fail": ("ok", 2),
+            "paging_storm": ("ok", 1),
+            "quote_reject": ("ok", 1),
+            "reorder": ("ok", 5),
+            "ring_worker_stall": ("ok", 0),
+            "shard_crash": ("ok", 0),
+            "worker_stall": ("ok", 2),
+        },
+    },
+    1: {
+        "routing": {
+            "aex_storm": ("ok", 25),
+            "corrupt": ("ok", 1),
+            "delay": ("ok", 4),
+            "drop": ("ok", 4),
+            "duplicate": ("ok", 4),
+            "egetkey_fail": ("ok", 2),
+            "lost_completion": ("ok", 0),
+            "mac_corrupt": ("ok", 1),
+            "ocall_fail": ("ok", 2),
+            "paging_storm": ("ok", 0),
+            "quote_reject": ("ok", 1),
+            "reorder": ("ok", 4),
+            "ring_worker_stall": ("ok", 0),
+            "shard_crash": ("ok", 0),
+            "worker_stall": ("ok", 0),
+        },
+        "tor": {
+            "aex_storm": ("ok", 50),
+            "corrupt": ("ok", 2),
+            "delay": ("ok", 11),
+            "drop": ("ok", 8),
+            "duplicate": ("ok", 11),
+            "egetkey_fail": ("ok", 2),
+            "lost_completion": ("ok", 6),
+            "mac_corrupt": ("ok", 1),
+            "ocall_fail": ("TorError", 2),
+            "paging_storm": ("ok", 0),
+            "quote_reject": ("ok", 1),
+            "reorder": ("ok", 11),
+            "ring_worker_stall": ("ok", 6),
+            "shard_crash": ("ok", 0),
+            "worker_stall": ("ok", 0),
+        },
+        "middlebox": {
+            "aex_storm": ("ok", 6),
+            "corrupt": ("ok", 1),
+            "delay": ("ok", 4),
+            "drop": ("ok", 4),
+            "duplicate": ("ok", 4),
+            "egetkey_fail": ("ok", 2),
+            "lost_completion": ("ok", 5),
+            "mac_corrupt": ("NetworkError", 1),
+            "ocall_fail": ("ok", 2),
+            "paging_storm": ("ok", 2),
+            "quote_reject": ("ok", 1),
+            "reorder": ("ok", 4),
+            "ring_worker_stall": ("ok", 0),
+            "shard_crash": ("ok", 0),
+            "worker_stall": ("ok", 3),
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("fault_class", CLASSES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cell_outcome_and_count_pinned(matrix, scenario, fault_class):
+    if SEED not in PINNED_CELLS:
+        pytest.skip(f"no pinned matrix for seed {SEED}")
+    cell = matrix["matrix"][(scenario, fault_class)]
+    expected = PINNED_CELLS[SEED][scenario][fault_class]
+    assert (cell["outcome"], cell["faults_injected"]) == expected, cell
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_recovers_under_at_least_five_classes(matrix, scenario):
     ok = [

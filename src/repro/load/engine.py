@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.world import World
 from repro.cost.model import DEFAULT_MODEL, cycles as counter_cycles
 from repro.errors import ReproError, ShardError
 from repro.obs.metrics import metric_count, metric_gauge, metric_observe
@@ -415,16 +416,18 @@ class _MiddleboxBackend:
     carrying K application messages (genuine wire batching).  Shards
     are replica slots, as for Tor.
 
-    Each dispatched batch is one fresh client flow end to end — its
-    own TLS handshake, middlebox attestation and key provisioning —
-    because that is exactly what a new flow costs in the paper's
-    architecture (Section 3.3: keys are provisioned per session).
+    Trust roots are per run: one :class:`~repro.core.world.World`,
+    built on the first dispatch so serving time pays for it.  Each
+    batch is one fresh flow with its own TLS handshake, middlebox
+    attestation and key provisioning — what a new flow costs in the
+    paper's architecture (Section 3.3: keys are provisioned per session).
     """
 
     scenario = "middlebox"
 
     def __init__(self, n_shards: int, batch: int, n_ases: int, seed: int) -> None:
         self._seed = seed
+        self._world: Optional[World] = None
         self.setup_cycles = 0.0
         self._counters: Dict[str, int] = {}
 
@@ -440,11 +443,12 @@ class _MiddleboxBackend:
     def dispatch(self, slot, events, index=0):
         from repro.middlebox.scenarios import MiddleboxScenario
 
+        if self._world is None:
+            self._world = World(b"load-mbox-%d" % self._seed, "sgx", tls=True)
         # The flow seed is the *dispatch-plan index*, so every tier
         # that walks the same plan builds the exact same flows.
-        scn = MiddleboxScenario(
-            n_middleboxes=1, seed=b"load-mbox-%d-%d" % (self._seed, index)
-        )
+        seed = b"load-mbox-%d-%d" % (self._seed, index)
+        scn = MiddleboxScenario(n_middleboxes=1, seed=seed, world=self._world)
         accts = [box.node.accountant for box in scn.middleboxes]
         snapshots = [acct.snapshot() for acct in accts]
         payloads = [b"LOAD:%d:%d" % (ev.seq, ev.key) for ev in events]

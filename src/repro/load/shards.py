@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import faults, obs
 from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
-from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import ProtocolError, ShardError
 from repro.core.app import SecureApplicationProgram
+from repro.core.world import World
 from repro.routing import messages as msg
 from repro.routing.deployment import build_policies
 from repro.routing.policy import LocalPolicy
@@ -33,7 +33,6 @@ from repro.routing.sharding import ShardCore, ShardRing, ShardTree
 from repro.sgx.attestation import IdentityPolicy
 from repro.sgx.measurement import measure_program
 from repro.sgx.platform import SgxPlatform
-from repro.sgx.quoting import AttestationAuthority
 from repro.wire import Reader, Writer
 
 __all__ = ["ShardControllerProgram", "ShardedRoutingDeployment"]
@@ -430,8 +429,7 @@ class ShardedRoutingDeployment:
         self.dead: set = set()
         self._sealed = False
 
-        authority = AttestationAuthority(Rng(seed, "authority"))
-        author = generate_rsa_keypair(512, Rng(seed, "author"))
+        world = World(seed)
         peer_policy = IdentityPolicy.for_mrenclave(
             measure_program(ShardControllerProgram)
         )
@@ -441,17 +439,17 @@ class ShardedRoutingDeployment:
         for shard_id in range(n_shards):
             platform = SgxPlatform(
                 f"shard{shard_id}",
-                authority=authority,
+                authority=world.authority,
                 rng=Rng(seed, f"shard{shard_id}"),
             )
             enclave = platform.load_enclave(
-                ShardControllerProgram(), author_key=author, name=f"shard{shard_id}"
+                ShardControllerProgram(), author_key=world.author, name=f"shard{shard_id}"
             )
             self.platforms[shard_id] = platform
             self.enclaves[shard_id] = enclave
         # verification_info needs at least one registered QE, so trust
         # configuration runs after every platform exists.
-        info = authority.verification_info()
+        info = world.authority.verification_info()
         for shard_id in range(n_shards):
             self.enclaves[shard_id].ecall("configure_trust", info, peer_policy)
             self.enclaves[shard_id].ecall("configure_shard", shard_id)

@@ -21,15 +21,14 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core import EnclaveNode
 from repro.core.untrusted import open_untrusted_session
+from repro.core.world import World
 from repro.crypto.drbg import Rng
-from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import AttestationError, MiddleboxError, ProtocolError
 from repro.net.network import LinkParams, Network
 from repro.net.sim import SimTimeout, create as create_simulator
 from repro.sgx.attestation import IdentityPolicy
 from repro.sgx.measurement import measure_program
-from repro.sgx.quoting import AttestationAuthority
-from repro.tls import CertificateAuthority, TlsServer, tls_connect
+from repro.tls import TlsServer, tls_connect
 from repro.middlebox.mbox import MiddleboxProgram, TAG_PROVISION_ACK, encode_provision
 from repro.middlebox.proxy import PROVISION_PORT, PROXY_PORT, MiddleboxNode
 from repro.wire import Reader
@@ -62,7 +61,7 @@ class ScenarioResult:
 
 
 class MiddleboxScenario:
-    """One constructed client / middlebox-chain / server world."""
+    """One constructed client / middlebox-chain / server deployment."""
 
     SERVER_NAME = "web"
     SERVER_PORT = 4433
@@ -80,6 +79,7 @@ class MiddleboxScenario:
         ring_depth: int = 4,
         epc_dpi: bool = False,
         epc_frames: Optional[int] = None,
+        world: Optional[World] = None,
     ) -> None:
         self.sim = create_simulator()
         self.network = Network(
@@ -91,13 +91,12 @@ class MiddleboxScenario:
         self.ring_depth = ring_depth
         self.rules = rules or [("r-exfil", b"SECRET-TOKEN", "alert")]
 
-        self.sgx_authority = AttestationAuthority(Rng(seed, "sgx"))
-        self._author = generate_rsa_keypair(512, Rng(seed, "author"))
-        self.ca = CertificateAuthority(Rng(seed, "tls-ca"))
+        # A shared world must carry a CA (``tls=True``).
+        self.world = world or World(seed, "sgx", tls=True)
 
         # TLS web server: echoes requests with a marker.
         server_host = self.network.add_host(self.SERVER_NAME)
-        identity, certificate = self.ca.issue(self.SERVER_NAME, Rng(seed, "web-id"))
+        identity, certificate = self.world.ca.issue(self.SERVER_NAME, Rng(seed, "web-id"))
 
         def handler(tls) -> Generator:
             while True:
@@ -125,7 +124,7 @@ class MiddleboxScenario:
             node = EnclaveNode(
                 self.network,
                 name,
-                self.sgx_authority,
+                self.world.authority,
                 rng=Rng(seed, name),
                 epc_frames=epc_frames,
                 epc_paging=epc_dpi,
@@ -135,7 +134,7 @@ class MiddleboxScenario:
                 if index in tampered_boxes
                 else MiddleboxProgram
             )
-            enclave = node.load(program_class(), author_key=self._author, name="mbox")
+            enclave = node.load(program_class(), author_key=self.world.author, name="mbox")
             if epc_dpi:
                 enclave.ecall("configure_dpi", self.rules, bilateral, True)
             else:
@@ -143,7 +142,7 @@ class MiddleboxScenario:
                 # marshalled ecall bytes (and charges) are unchanged.
                 enclave.ecall("configure_dpi", self.rules, bilateral)
             enclave.ecall(
-                "configure_trust", self.sgx_authority.verification_info()
+                "configure_trust", self.world.authority.verification_info()
             )
             box = MiddleboxNode(
                 node,
@@ -177,7 +176,7 @@ class MiddleboxScenario:
         failures: List[str],
         provisioned: List[str],
     ) -> Generator:
-        info = self.sgx_authority.verification_info()
+        info = self.world.authority.verification_info()
         rng = Rng(self.seed, f"provision-{endpoint_role}")
         for index, box in enumerate(self.middleboxes):
             try:
@@ -233,7 +232,7 @@ class MiddleboxScenario:
                 self._entry[0],
                 self._entry[1],
                 self.SERVER_NAME,
-                self.ca.public,
+                self.world.ca.public,
                 Rng(self.seed, "client-tls"),
             )
             if provision:

@@ -141,10 +141,6 @@ class StreamSocket:
         self._closing = True
         self._send_event.put(None)
 
-    @property
-    def pending_messages(self) -> int:
-        return len(self._msg_q)
-
     # -- internals ------------------------------------------------------------
 
     def _start(self) -> None:

@@ -273,6 +273,3 @@ class DistributedBgpSimulator:
             if entry.best is not None and entry.best.path:
                 out[prefix] = entry.best
         return out
-
-    def reachable_prefixes(self, asn: int) -> List[str]:
-        return sorted(self.best_routes(asn))

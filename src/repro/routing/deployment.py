@@ -26,8 +26,8 @@ from repro import faults
 from repro.cost import CostAccountant, Counter
 from repro.cost import context as cost_context
 from repro.core import AttestedServer, EnclaveNode, open_attested_session
+from repro.core.world import World
 from repro.crypto.drbg import Rng
-from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import PolicyError, ReproError
 from repro.net.network import LinkParams, Network
 from repro.net import sim as sim_kernel
@@ -41,7 +41,6 @@ from repro.routing.topology import AsTopology, generate_topology
 from repro.routing.verification import Predicate
 from repro.sgx.attestation import AttestationConfig, IdentityPolicy
 from repro.sgx.measurement import measure_program
-from repro.sgx.quoting import AttestationAuthority
 
 __all__ = ["RoutingRunResult", "run_sgx_routing", "run_native_routing"]
 
@@ -69,11 +68,6 @@ class RoutingRunResult:
     predicate_results: Dict[int, Dict[str, bool]] = dataclasses.field(
         default_factory=dict
     )
-
-    def controller_cycles(self, model=None) -> float:
-        from repro.cost import DEFAULT_MODEL, cycles
-
-        return cycles(self.controller_steady, model or DEFAULT_MODEL)
 
 
 def _sum_domains(delta: Dict[str, Counter], prefix: str) -> Counter:
@@ -134,14 +128,13 @@ def run_sgx_routing(
     network = Network(
         sim, rng=Rng(seed, "net"), default_link=LinkParams(latency=0.002)
     )
-    authority = AttestationAuthority(Rng(seed, "authority"))
-    author = generate_rsa_keypair(512, Rng(seed, "author"))
+    world = World(seed)
 
-    controller_node = EnclaveNode(network, "idc", authority, rng=Rng(seed, "idc"))
+    controller_node = EnclaveNode(network, "idc", world.authority, rng=Rng(seed, "idc"))
     controller_enclave = controller_node.load(
-        InterDomainControllerProgram(), author_key=author, name="idc"
+        InterDomainControllerProgram(), author_key=world.author, name="idc"
     )
-    info = authority.verification_info()
+    info = world.authority.verification_info()
     controller_enclave.ecall("configure_controller", n_ases)
     controller_enclave.ecall(
         "configure_trust",
@@ -179,9 +172,9 @@ def run_sgx_routing(
 
     for asn in topology.asns:
         node = EnclaveNode(
-            network, f"as{asn}", authority, rng=Rng(seed, f"as{asn}")
+            network, f"as{asn}", world.authority, rng=Rng(seed, f"as{asn}")
         )
-        enclave = node.load(AsLocalControllerProgram(), author_key=author, name="aslc")
+        enclave = node.load(AsLocalControllerProgram(), author_key=world.author, name="aslc")
         enclave.ecall("configure_trust", info)
         enclave.ecall("configure_policy", policies[asn].encode())
         as_nodes[asn] = node

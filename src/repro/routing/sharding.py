@@ -166,10 +166,6 @@ class ShardTree:
     # -- introspection -------------------------------------------------------
 
     @property
-    def region_ids(self) -> List[int]:
-        return sorted(self._rings)
-
-    @property
     def shard_ids(self) -> List[int]:
         return sorted(s for ring in self._rings.values() for s in ring.shard_ids)
 
@@ -186,10 +182,6 @@ class ShardTree:
         raise ShardError(f"shard {shard_id} is not in the tree")
 
     # -- lookup --------------------------------------------------------------
-
-    def region_of(self, asn: int) -> int:
-        """The region an ASN hashes onto (level one of the tree)."""
-        return self._region_ring.owner(asn)
 
     def owner(self, asn: int) -> int:
         """The owning shard: region ring first, then the region's ring."""

@@ -70,9 +70,6 @@ class AsTopology:
     def peers(self, asn: int) -> List[int]:
         return [n for n, r in self.rel[asn].items() if r is Relationship.PEER]
 
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.rel.values()) // 2
-
     def all_prefixes(self) -> List[Tuple[str, int]]:
         """(prefix, origin ASN) pairs, deterministic order."""
         out = []

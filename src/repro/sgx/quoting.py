@@ -12,7 +12,7 @@ authority.
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional
 
 from repro.cost import context as cost_context
 from repro.crypto import cache
@@ -191,10 +191,14 @@ class AttestationAuthority:
             512, rng.fork("architectural-signer")
         )
         self._qe_mrenclave: Optional[bytes] = None
+        self._members: Dict[str, EpidMemberKey] = {}
 
     def provision_member(self, platform_name: str) -> EpidMemberKey:
-        """Issue a CPU its attestation key (at 'manufacture' time)."""
-        return self._epid.issue_member_key(platform_name)
+        """Issue a CPU its attestation key (at 'manufacture' time); a
+        name seen before gets the same key back, revoked or not."""
+        if platform_name not in self._members:
+            self._members[platform_name] = self._epid.issue_member_key(platform_name)
+        return self._members[platform_name]
 
     def register_qe_measurement(self, mrenclave: bytes) -> None:
         """Record the well-known quoting-enclave identity (first launch)."""

@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults, obs
+from repro.crypto import rsa
 from repro.errors import ReproError
 from repro.load.clients import event_log_fingerprint, generate_events
 from repro.load.cohorts import run_load_cohorts
@@ -20,9 +22,11 @@ from repro.load.engine import (
     run_load_engine,
 )
 from repro.load.report import SCHEMA, bench_doc, bench_json, validate_bench
+from repro.middlebox.scenarios import MiddleboxScenario
 from repro.routing.controller import InterDomainController
 from repro.routing.deployment import build_policies
 from repro.routing.messages import encode_routes_msg
+from repro.sgx.quoting import AttestationAuthority
 
 
 class TestEventGeneration:
@@ -228,6 +232,19 @@ PINNED_CRASH_DIGESTS = {
     1: "9f05ad20ef3e7f81e5c732d35483d71fdbdb9467191a4f73b19ca171db40edf9",
 }
 
+#: Middlebox runs long enough that one run-wide trust world serves many
+#: flows (6 dispatches each).  Digests were computed while every flow
+#: still built its own authority, author key and CA, so they pin that
+#: sharing the world changes no byte of the report.
+PINNED_MIDDLEBOX_LONG_RUN = dict(n_clients=12, n_shards=1, batch=2, n_events=12)
+PINNED_MIDDLEBOX_LONG_DIGESTS = {
+    0: "c5b75a041d7bf7be1ea2754fbd04b4ef4367835aaebdcad04ff4d7de3992f281",
+    1: "663d0c1886c7c96033e043fcb35ed67932d9b8d9fcd2c89201d8a4a56a248fb6",
+}
+PINNED_MIDDLEBOX_COHORT_DIGEST = (
+    "05d18f8553145e75b3cd191c8d86399aa31ab6f72c76bcd62158fd332626505c"
+)
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -252,3 +269,46 @@ class TestPinnedBytes:
             )
         assert plan.log.events, "the plan never fired — test proves nothing"
         assert _sha256(bench_json(result)) == PINNED_CRASH_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_MIDDLEBOX_LONG_DIGESTS))
+    def test_long_middlebox_run_matches_pinned_digest(self, seed):
+        result = run_load_engine("middlebox", seed=seed, **PINNED_MIDDLEBOX_LONG_RUN)
+        assert _sha256(bench_json(result)) == PINNED_MIDDLEBOX_LONG_DIGESTS[seed]
+
+    def test_middlebox_cohorts_match_pinned_digest(self):
+        result = run_load_cohorts("middlebox", 16, 1, 3, 0, n_events=18)
+        assert _sha256(bench_json(result)) == PINNED_MIDDLEBOX_COHORT_DIGEST
+
+
+class TestMiddleboxTrustRoots:
+    def test_one_world_serves_every_flow(self, monkeypatch):
+        calls = {"scenarios": 0, "authorities": 0, "rsa_keygens": 0}
+
+        def counting(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        real_keygen = rsa.generate_rsa_keypair
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("generate_rsa_keypair") is real_keygen:
+                monkeypatch.setattr(
+                    module, "generate_rsa_keypair", counting("rsa_keygens", real_keygen)
+                )
+        monkeypatch.setattr(
+            AttestationAuthority,
+            "__init__",
+            counting("authorities", AttestationAuthority.__init__),
+        )
+        monkeypatch.setattr(
+            MiddleboxScenario,
+            "__init__",
+            counting("scenarios", MiddleboxScenario.__init__),
+        )
+        result = run_load_engine("middlebox", seed=0, **PINNED_MIDDLEBOX_LONG_RUN)
+        assert result.outcomes == {"ok": 12}
+        # Six flows; one authority, plus its architectural signer and
+        # the enclave author's key, for the whole run.
+        assert calls == {"scenarios": 6, "authorities": 1, "rsa_keygens": 2}

@@ -182,6 +182,17 @@ class TestRemoteAttestation:
         with pytest.raises(AttestationError, match="revoked|invalid"):
             run_attestation(challenger, target)
 
+    def test_reprovisioned_platform_stays_revoked(self, author_key):
+        authority = AttestationAuthority(Rng(b"cached-revocation-test"))
+        first = SgxPlatform("remote", authority, rng=Rng(b"first-remote-host"))
+        authority.revoke_platform(first._member_key.keypair.y)
+        # make_pair builds a new "remote" platform: it is handed the
+        # cached, revoked key and must still fail attestation.
+        local, remote, challenger, target = make_pair(authority, author_key)
+        assert remote._member_key is first._member_key
+        with pytest.raises(AttestationError, match="revoked|invalid"):
+            run_attestation(challenger, target)
+
     def test_quote_from_foreign_group_rejected(self, authority, author_key):
         rogue_authority = AttestationAuthority(Rng(b"rogue"))
         remote = SgxPlatform("rogue-host", rogue_authority, rng=Rng(b"rogue-host"))
@@ -260,3 +271,12 @@ def _challenger_keys(challenger_enclave):
     """Test-only peek at the challenger's derived session keys."""
     program = challenger_enclave._program  # bypassing the boundary: test fixture
     return program._attestor.session_keys
+
+
+class TestMemberProvisioning:
+    def test_repeated_name_gets_the_issued_key(self, authority):
+        first = authority.provision_member("cpu-a")
+        assert authority.provision_member("cpu-a") is first
+        other = authority.provision_member("cpu-b")
+        assert other.keypair.y != first.keypair.y
+        assert authority.provision_member("cpu-b") is other

@@ -14,7 +14,7 @@ Metrics ride along the same tracer (PR 8)::
     registry = obs.MetricsRegistry(interval=10_000_000)
     tracer = obs.Tracer(metrics=registry)
     experiments.run_load("routing", trace=tracer)
-    obs.reconcile(tracer)                   # spans AND sampled series
+    obs.reconcile(tracer)                   # trace AND series totals
     open("ts.om", "w").write(obs.openmetrics_timeseries(registry))
 
 Tracing is opt-in and zero-cost when off; see :mod:`repro.obs.tracer`.

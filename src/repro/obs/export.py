@@ -12,17 +12,19 @@ Three formats, all deterministic text so traces diff cleanly:
 * Prometheus-style text exposition — aggregate counters for dashboards
   or plain grepping.
 
-:func:`reconcile` is the correctness anchor: it asserts that the sum
-of span self-instructions (plus the orphan bucket) equals every
-attached accountant's per-domain counters *exactly*, integer for
-integer — the trace is the table, redistributed over a timeline.
+:func:`reconcile` is the correctness anchor: it asserts that the
+tracer's charge log sums to every attached accountant's per-domain
+counters *exactly*, integer for integer — the trace is the table,
+redistributed over a timeline.  It reads only the log's totals; the
+exporters are what fold the timeline.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import _check_series, _compare_accountants, _om_labels
 from repro.obs.tracer import Tracer
 
 #: One trace-event microsecond per this many modeled cycles.
@@ -49,19 +51,16 @@ def to_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     tids: Dict[Tuple[str, str], int] = {}
     meta: List[Dict[str, Any]] = []
 
+    def name(kind: str, pid: int, tid: int, label: str) -> None:
+        meta.append(
+            {"ph": "M", "name": kind, "pid": pid, "tid": tid, "args": {"name": label}}
+        )
+
     def pid_for(source: str) -> int:
         label = source or "global"
         if label not in pids:
             pids[label] = len(pids) + 1
-            meta.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pids[label],
-                    "tid": 0,
-                    "args": {"name": label},
-                }
-            )
+            name("process_name", pids[label], 0, label)
         return pids[label]
 
     def tid_for(source: str, domain: str) -> int:
@@ -70,35 +69,29 @@ def to_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
         key = (source or "global", label)
         if key not in tids:
             tids[key] = len([k for k in tids if k[0] == key[0]]) + 1
-            meta.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tids[key],
-                    "args": {"name": label},
-                }
-            )
+            name("thread_name", pid, tids[key], label)
         return tids[key]
 
     def ts(sgx: int, normal: int) -> float:
         return tracer.cycles_at(sgx, normal) / CYCLES_PER_TRACE_US
 
     timed: List[Tuple[int, Dict[str, Any]]] = []
+    spans = tracer.spans  # folds the log, so the sequence counter is final
     final_seq = tracer._seq + 1
-    for s in tracer.spans:
-        pid = pid_for(s.source)
-        tid = tid_for(s.source, s.domain)
+    for s in spans:
+        base = {
+            "name": s.name,
+            "cat": s.kind,
+            "pid": pid_for(s.source),
+            "tid": tid_for(s.source, s.domain),
+        }
         self_sgx, self_normal = s.self_instructions()
         timed.append(
             (
                 s.open_seq,
                 {
                     "ph": "B",
-                    "name": s.name,
-                    "cat": s.kind,
-                    "pid": pid,
-                    "tid": tid,
+                    **base,
                     "ts": ts(s.start_sgx, s.start_normal),
                     "args": {
                         "domain": s.domain,
@@ -115,22 +108,8 @@ def to_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
             end_seq, end_sgx, end_normal = s.close_seq, s.end_sgx, s.end_normal
         else:  # never-closed span (crashed run): clamp to the final clock
             end_seq, end_sgx, end_normal = final_seq, *tracer.clock
-        timed.append(
-            (
-                end_seq,
-                {
-                    "ph": "E",
-                    "name": s.name,
-                    "cat": s.kind,
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ts(end_sgx, end_normal),
-                },
-            )
-        )
+        timed.append((end_seq, {"ph": "E", **base, "ts": ts(end_sgx, end_normal)}))
     for i in tracer.instants:
-        args: Dict[str, Any] = {"count": i.count}
-        args.update(i.args)
         timed.append(
             (
                 i.seq,
@@ -142,7 +121,7 @@ def to_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
                     "pid": pid_for(i.source),
                     "tid": tid_for(i.source, i.domain),
                     "ts": ts(i.ts_sgx, i.ts_normal),
-                    "args": args,
+                    "args": {"count": i.count, **i.args},
                 },
             )
         )
@@ -256,13 +235,8 @@ def folded_stacks(tracer: Tracer) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def _labels(**labels: str) -> str:
-    inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in labels.items())
-    return "{" + inner + "}"
+    return _om_labels(tuple(labels.items()))
 
 
 def prometheus_text(tracer: Tracer, openmetrics: bool = False) -> str:
@@ -288,40 +262,26 @@ def prometheus_text(tracer: Tracer, openmetrics: bool = False) -> str:
         if openmetrics and unit:
             lines.append(f"# UNIT {family} {unit}")
 
-    def sample(name: str, kind: str) -> str:
-        if openmetrics and kind == "counter" and not name.endswith("_total"):
-            return name + "_total"
-        return name
-
-    span_cycles: Dict[Tuple[str, str], float] = {}
-    span_counts: Dict[Tuple[str, str], int] = {}
-    for s in tracer.spans:
-        key = (s.name, s.kind)
-        span_cycles[key] = span_cycles.get(key, 0.0) + tracer.cycles_at(
-            *s.self_instructions()
-        )
-        span_counts[key] = span_counts.get(key, 0) + 1
-
-    header(
-        "repro_trace_span_self_cycles_total",
-        "Modeled cycles charged directly to spans with this name/kind.",
-        "counter",
-        unit="cycles",
-    )
-    for (name, kind), value in sorted(span_cycles.items()):
-        lines.append(
-            "repro_trace_span_self_cycles_total"
-            + _labels(name=name, kind=kind)
-            + f" {value:.1f}"
-        )
-    header(
-        "repro_trace_span_count", "Number of spans recorded per name/kind.", "counter"
-    )
-    span_count_sample = sample("repro_trace_span_count", "counter")
-    for (name, kind), value in sorted(span_counts.items()):
-        lines.append(
-            span_count_sample + _labels(name=name, kind=kind) + f" {value}"
-        )
+    span_cycles, span_counts = _span_sites(tracer)
+    for family, help_text, unit, values, fmt in (
+        (
+            "repro_trace_span_self_cycles_total",
+            "Modeled cycles charged directly to spans with this name/kind.",
+            "cycles", span_cycles, "{:.1f}",
+        ),
+        (
+            "repro_trace_span_count",
+            "Number of spans recorded per name/kind.",
+            "", span_counts, "{}",
+        ),
+    ):
+        header(family, help_text, "counter", unit=unit)
+        if openmetrics and not family.endswith("_total"):
+            family += "_total"
+        for (name, kind), value in sorted(values.items()):
+            lines.append(
+                family + _labels(name=name, kind=kind) + " " + fmt.format(value)
+            )
 
     event_counts: Dict[str, int] = {}
     for i in tracer.instants:
@@ -334,35 +294,19 @@ def prometheus_text(tracer: Tracer, openmetrics: bool = False) -> str:
     for name, value in sorted(event_counts.items()):
         lines.append("repro_trace_events_total" + _labels(name=name) + f" {value}")
 
-    header(
-        "repro_domain_sgx_instructions_total",
-        "User-mode SGX instructions per accountant source and domain.",
-        "counter",
-        unit="instructions",
-    )
-    sgx_lines: List[str] = []
-    normal_lines: List[str] = []
-    for acct in tracer.accountants:
-        for domain, counter in sorted(acct.domains().items()):
-            labels = _labels(source=acct.source, domain=domain)
-            sgx_lines.append(
-                "repro_domain_sgx_instructions_total"
-                + labels
-                + f" {counter.sgx_instructions}"
-            )
-            normal_lines.append(
-                "repro_domain_normal_instructions_total"
-                + labels
-                + f" {counter.normal_instructions}"
-            )
-    lines.extend(sgx_lines)
-    header(
-        "repro_domain_normal_instructions_total",
-        "Normal x86 instructions per accountant source and domain.",
-        "counter",
-        unit="instructions",
-    )
-    lines.extend(normal_lines)
+    for field, help_text in (
+        ("sgx", "User-mode SGX instructions per accountant source and domain."),
+        ("normal", "Normal x86 instructions per accountant source and domain."),
+    ):
+        family = f"repro_domain_{field}_instructions_total"
+        header(family, help_text, "counter", unit="instructions")
+        for acct in tracer.accountants:
+            for domain, counter in sorted(acct.domains().items()):
+                lines.append(
+                    family
+                    + _labels(source=acct.source, domain=domain)
+                    + f" {getattr(counter, field + '_instructions')}"
+                )
 
     header(
         "repro_trace_clock_cycles",
@@ -381,6 +325,17 @@ def prometheus_text(tracer: Tracer, openmetrics: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _span_sites(tracer: Tracer):
+    """Self-cycles and span count per span (name, kind), in span order."""
+    cycles: Dict[Tuple[str, str], float] = {}
+    counts: Dict[Tuple[str, str], int] = {}
+    for s in tracer.spans:
+        key = (s.name, s.kind)
+        cycles[key] = cycles.get(key, 0.0) + tracer.cycles_at(*s.self_instructions())
+        counts[key] = counts.get(key, 0) + 1
+    return cycles, counts
+
+
 def top_cost_sites(tracer: Tracer, n: int = 5) -> List[Tuple[str, str, float, int]]:
     """The ``n`` hottest sites: spans by self-cycles, then instants.
 
@@ -392,12 +347,7 @@ def top_cost_sites(tracer: Tracer, n: int = 5) -> List[Tuple[str, str, float, in
     storm or retransmit burst shows up here even when its cycles are
     charged inside some broader span.
     """
-    cycles: Dict[Tuple[str, str], float] = {}
-    counts: Dict[Tuple[str, str], int] = {}
-    for s in tracer.spans:
-        key = (s.name, s.kind)
-        cycles[key] = cycles.get(key, 0.0) + tracer.cycles_at(*s.self_instructions())
-        counts[key] = counts.get(key, 0) + 1
+    cycles, counts = _span_sites(tracer)
     for i in tracer.instants:
         key = (i.name, "event")
         cycles.setdefault(key, 0.0)
@@ -409,93 +359,27 @@ def top_cost_sites(tracer: Tracer, n: int = 5) -> List[Tuple[str, str, float, in
 
 
 def reconcile(tracer: Tracer) -> Dict[str, Dict[str, float]]:
-    """Assert span totals match the accountants exactly; return per-domain cycles.
+    """Assert the log's totals match the accountants exactly; return per-domain cycles.
 
     For every attached accountant (except any that called ``reset()``,
-    whose history the trace can no longer account for), the sum of raw
-    (sgx, normal) instructions over all span self-counts and the orphan
-    bucket must equal its per-domain counters *as integers* — no
-    tolerance.  Raises :class:`ReconcileError` listing every mismatch
-    otherwise.
+    whose history the trace can no longer account for), the raw
+    (sgx, normal) instructions, crossings and switchless hits summed
+    from the charge log (:meth:`Tracer.totals`; no span or sample is
+    built) must equal its per-domain counters *as integers*.  Raises
+    :class:`ReconcileError` listing every mismatch otherwise.
 
     The return value maps ``source -> {domain: cycles}`` using the
     tracer's model — the same numbers the Table 1-4 reports print.
-
-    When the tracer carries a metrics registry, the sampled series are
-    reconciled against the same accountants too (see
-    :func:`repro.obs.metrics.reconcile_metrics`) — the time-series is
-    the table, redistributed over sample boundaries.
+    With a metrics registry attached, the checks of
+    :func:`repro.obs.metrics.reconcile_metrics` (faults, allocations, EPC,
+    the final sample) run too.
     """
-    traced: Dict[Tuple[str, str], List[int]] = {}
-
-    def add(counts: Dict[Tuple[str, str], Sequence[int]]) -> None:
-        for key, (sgx, normal) in counts.items():
-            cell = traced.setdefault(key, [0, 0])
-            cell[0] += sgx
-            cell[1] += normal
-
-    for s in tracer.spans:
-        add(s.self_counts)
-    add(tracer.orphans)
-
-    crossings: Dict[Tuple[str, str], int] = {}
-    switchless: Dict[Tuple[str, str], int] = {}
-    for i in tracer.instants:
-        if i.name == "crossing":
-            key = (i.source, i.domain)
-            crossings[key] = crossings.get(key, 0) + i.count
-        elif i.name == "switchless_hit":
-            key = (i.source, i.domain)
-            switchless[key] = switchless.get(key, 0) + i.count
-
-    mismatches: List[str] = []
-    totals: Dict[str, Dict[str, float]] = {}
-    seen: set = set()
-    for acct in tracer.accountants:
-        if acct.source in tracer.reset_sources:
-            continue
-        totals[acct.source] = {}
-        for domain, counter in acct.domains().items():
-            key = (acct.source, domain)
-            seen.add(key)
-            got = traced.get(key, [0, 0])
-            if (
-                got[0] != counter.sgx_instructions
-                or got[1] != counter.normal_instructions
-            ):
-                mismatches.append(
-                    f"{acct.source}/{domain}: traced sgx={got[0]} "
-                    f"normal={got[1]} != counter sgx={counter.sgx_instructions} "
-                    f"normal={counter.normal_instructions}"
-                )
-            got_x = crossings.get(key, 0)
-            if got_x != counter.enclave_crossings:
-                mismatches.append(
-                    f"{acct.source}/{domain}: {got_x} crossing events != "
-                    f"counter {counter.enclave_crossings}"
-                )
-            got_sl = switchless.get(key, 0)
-            if got_sl != counter.switchless_calls:
-                mismatches.append(
-                    f"{acct.source}/{domain}: {got_sl} switchless_hit events != "
-                    f"counter {counter.switchless_calls}"
-                )
-            totals[acct.source][domain] = tracer.cycles_at(
-                counter.sgx_instructions, counter.normal_instructions
-            )
-    reset = {acct.source for acct in tracer.accountants} & tracer.reset_sources
-    for key in traced:
-        if key not in seen and key[0] not in reset and traced[key] != [0, 0]:
-            mismatches.append(
-                f"{key[0]}/{key[1]}: traced charges with no matching counter"
-            )
+    totals, cycles, mismatches, metric_mismatches = _compare_accountants(tracer)
     if mismatches:
         raise ReconcileError(
             "trace does not reconcile with accountants:\n  "
             + "\n  ".join(mismatches)
         )
     if tracer.metrics is not None:
-        from repro.obs.metrics import reconcile_metrics
-
-        reconcile_metrics(tracer.metrics, tracer)
-    return totals
+        _check_series(tracer.metrics, tracer, totals, metric_mismatches)
+    return cycles

@@ -1,12 +1,9 @@
 """Deterministic metrics: instruments + a simulated-time sampler.
 
-Spans (PR 3) answer "where did the cycles go?", but they are O(events):
-at load-engine scale the trace itself becomes the bottleneck, and no
-span answers "is the system healthy *right now* in simulated time?".
-This module adds the missing layer: O(1)-per-update Counter / Gauge /
-Histogram instruments clocked off the same cost-model instruction
-counters the tracer uses, snapshotted into a time-series at a
-configurable cycle interval.
+Spans answer "where did the cycles go?"; the Counter / Gauge /
+Histogram series here answer "is the system healthy *right now* in
+simulated time?", snapshotted at a configurable interval of the same
+cost-model cycle clock the tracer uses.
 
 Design invariants (DESIGN.md §10):
 
@@ -16,13 +13,12 @@ Design invariants (DESIGN.md §10):
   none.  Golden Table 1-4 outputs are byte-identical with metrics off
   *and* on (the registry observes charges, it never adds any).
 
-* **Exact reconciliation.**  The registry accumulates *raw integers*
-  per ``(source, domain)`` for every :class:`CostAccountant` field —
-  sgx/normal instructions from ``on_charge``, crossings and switchless
-  hits from their instants, faults and allocations from dedicated
-  forwarding hooks — so :func:`reconcile_metrics` can assert the
-  cumulative series equal every attached accountant's counters int for
-  int, and that the final sample equals the cumulative totals.
+* **Series fold from the charge log.**  An instrument call appends one
+  record to the tracer's log and does nothing else; the per
+  ``(source, domain)`` family of every :class:`CostAccountant` field
+  folds from the same records as the spans, and
+  :func:`reconcile_metrics` checks the accountants against the log's
+  integer totals without building a sample.
 
 * **Deterministic sampling.**  The sample clock is
   ``model.cycles(clock_sgx, clock_normal)`` — never wall time.  A
@@ -37,11 +33,16 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cost import accountant as _accountant_mod
+from repro.cost.accountant import Counter
 from repro.cost.model import DEFAULT_MODEL, CostModel
+from repro.obs.tracer import (
+    CLOCK, FINAL, GAUGE, INC, OBSERVE, LogTotals, Tracer, _view,
+)
 
 __all__ = [
     "DEFAULT_SAMPLE_INTERVAL",
@@ -135,9 +136,9 @@ class MetricsRegistry:
     """Counter/Gauge/Histogram series sampled on the cost-model clock.
 
     Attach one to a :class:`repro.obs.Tracer` (``Tracer(metrics=...)``)
-    and the tracer forwards every charge and instant; the registry
-    samples itself whenever the cycle clock crosses a multiple of
-    ``interval``.
+    and its series fold from the tracer's charge log, sampled whenever
+    the folded cycle clock crosses a multiple of ``interval``.  A
+    registry on its own is clocked by :meth:`on_clock`.
     """
 
     def __init__(
@@ -149,80 +150,41 @@ class MetricsRegistry:
             raise ValueError("sample interval must be positive cycles")
         self.interval = int(interval)
         self.model = model
-        self.counters: Dict[MetricKey, int] = {}
-        self.gauges: Dict[MetricKey, float] = {}
-        self.histograms: Dict[MetricKey, _Histogram] = {}
-        self.samples: List[MetricsSample] = []
-        self.clock_cycles = 0.0
+        #: Records in call order.  The tracer this registry rides on
+        #: logs into, and folds, the same list.
+        self._log: List[tuple] = []
+        self._tracer: Optional[Tracer] = None
+        self._final_at = -1  # log index of the finalize() record
+        self._counters: Dict[MetricKey, int] = {}
+        self._gauges: Dict[MetricKey, float] = {}
+        self._histograms: Dict[MetricKey, _Histogram] = {}
+        self._samples: List[MetricsSample] = []
+        self._clock_cycles = 0.0
         self._next_at = float(self.interval)
-        self._finalized = False
 
-    # -- instruments -------------------------------------------------------
+    counters = _view("_counters", "Cumulative counter series.")
+    gauges = _view("_gauges", "Current gauge values.")
+    histograms = _view("_histograms", "Cumulative histogram series.")
+    samples = _view("_samples", "Snapshots, one per crossed boundary.")
+    clock_cycles = _view("_clock_cycles", "The sample clock, in cycles.")
+
+    # -- instruments: one log record each ----------------------------------
 
     def inc(self, name: str, n: int = 1, **labels: str) -> None:
         """Add ``n`` to a (cumulative, integer) counter series."""
-        key = _key(name, labels)
-        self.counters[key] = self.counters.get(key, 0) + n
+        self._log.append((INC, name, n, labels))
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         """Set the instantaneous value of a gauge series."""
-        self.gauges[_key(name, labels)] = value
+        self._log.append((GAUGE, name, value, labels))
 
     def observe(self, name: str, value: float, **labels: str) -> None:
         """Record one observation into a log-bucket histogram series."""
-        key = _key(name, labels)
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = _Histogram()
-        hist.observe(value)
-
-    # -- tracer-driven sinks -----------------------------------------------
-
-    def observe_charge(self, source: str, domain: str, sgx: int, normal: int) -> None:
-        """Mirror one accountant charge (called by ``Tracer.on_charge``)."""
-        if sgx:
-            self.inc("sgx_instructions", sgx, source=source, domain=domain)
-        if normal:
-            self.inc("normal_instructions", normal, source=source, domain=domain)
-
-    def observe_instant(
-        self, name: str, source: str, domain: str, count: int
-    ) -> None:
-        """Mirror one typed instant as an ``event:<name>`` counter."""
-        self.inc(f"event:{name}", count, source=source, domain=domain)
-
-    def observe_field(
-        self, field: str, source: str, domain: str, count: int
-    ) -> None:
-        """Mirror an instant-less counter field (faults, allocations)."""
-        self.inc(field, count, source=source, domain=domain)
+        self._log.append((OBSERVE, name, value, labels))
 
     def on_clock(self, cycles: float) -> None:
-        """Advance the sample clock; snapshot at each crossed boundary.
-
-        One charge can cross several boundaries; the series is flat
-        between them (the clock advances atomically per charge), so a
-        single sample at the *last* crossed boundary loses nothing.
-        """
-        self.clock_cycles = cycles
-        if cycles < self._next_at:
-            return
-        boundary = int(cycles // self.interval)
-        self._snapshot(boundary, boundary * float(self.interval))
-        self._next_at = (boundary + 1) * float(self.interval)
-
-    def _snapshot(self, boundary: int, at_cycles: float) -> None:
-        self.samples.append(
-            MetricsSample(
-                boundary=boundary,
-                at_cycles=at_cycles,
-                counters=dict(self.counters),
-                gauges=dict(self.gauges),
-                histograms={
-                    key: hist.freeze() for key, hist in self.histograms.items()
-                },
-            )
-        )
+        """Advance the sample clock to ``cycles`` (a registry on its own)."""
+        self._log.append((CLOCK, cycles))
 
     def finalize(self) -> MetricsSample:
         """Stamp one last sample at the current clock (idempotent).
@@ -231,10 +193,68 @@ class MetricsRegistry:
         ends with the cumulative totals, even when the run stopped
         between boundaries.
         """
-        if not self._finalized:
-            self._snapshot(-1, self.clock_cycles)
-            self._finalized = True
+        self._stamp_final()
         return self.samples[-1]
+
+    def _stamp_final(self) -> int:
+        """Log the finalize record once; return its log index."""
+        if self._final_at < 0:
+            self._final_at = len(self._log)
+            self._log.append((FINAL,))
+        return self._final_at
+
+    # -- the fold ----------------------------------------------------------
+
+    def _fold(self) -> None:
+        # The tracer folds spans and series in one pass (a registry on
+        # its own gets a tracer of its own).
+        (self._tracer or Tracer(self.model, metrics=self))._fold()
+
+    def _apply(self, rec: tuple) -> None:
+        """Fold one instrument, clock or finalize record."""
+        tag = rec[0]
+        if tag == CLOCK:
+            self.observe_clock(rec[1])
+        elif tag == FINAL:
+            self._snapshot(-1, self._clock_cycles)
+        else:
+            key = _key(rec[1], rec[3])
+            if tag == INC:
+                self._counters[key] = self._counters.get(key, 0) + rec[2]
+            elif tag == GAUGE:
+                self._gauges[key] = rec[2]
+            else:
+                hist = self._histograms.get(key)
+                if hist is None:
+                    hist = self._histograms[key] = _Histogram()
+                hist.observe(rec[2])
+
+    def observe_clock(self, cycles: float) -> None:
+        """Fold one clock reading; snapshot at each crossed boundary.
+
+        One charge can cross several boundaries; the series is flat
+        between them (the clock advances atomically per charge), so a
+        single sample at the *last* crossed boundary loses nothing.
+        """
+        self._clock_cycles = cycles
+        if cycles < self._next_at:
+            return
+        boundary = int(cycles // self.interval)
+        self._snapshot(boundary, boundary * float(self.interval))
+        self._next_at = (boundary + 1) * float(self.interval)
+
+    def _snapshot(self, boundary: int, at_cycles: float) -> None:
+        self._samples.append(
+            MetricsSample(
+                boundary=boundary,
+                at_cycles=at_cycles,
+                counters=dict(self._counters),
+                gauges=dict(self._gauges),
+                histograms={
+                    key: hist.freeze() for key, hist in self._histograms.items()
+                },
+            )
+        )
 
     # -- reading -----------------------------------------------------------
 
@@ -256,7 +276,7 @@ class MetricsRegistry:
             )
             for s in self.samples
         ]
-        if not self._finalized:
+        if self._final_at < 0:
             points.append((self.clock_cycles, float(self.total(name))))
         return points
 
@@ -309,10 +329,7 @@ def metric_observe(name: str, value: float) -> None:
 # Reconciliation
 # ---------------------------------------------------------------------------
 
-#: accountant Counter field -> (metric family, flow) pairs the registry
-#: mirrors.  ``charge``-flow fields arrive via ``observe_charge``,
-#: ``instant``-flow via ``observe_instant``, ``field``-flow via the
-#: dedicated ``observe_field`` hook in :class:`CostAccountant`.
+#: accountant Counter field -> the metric family mirroring it.
 _RECONCILED_FAMILIES = (
     ("sgx_instructions", "sgx_instructions"),
     ("normal_instructions", "normal_instructions"),
@@ -323,40 +340,87 @@ _RECONCILED_FAMILIES = (
 )
 
 
+def _compare_accountants(tracer):
+    """One loop holding all six Counter fields against the log's totals.
+
+    Returns ``(totals, cycles per source and domain, mismatches worded
+    for ReconcileError, mismatches worded for MetricsReconcileError)``;
+    sources that ``reset()`` are skipped.
+    """
+    totals = tracer.totals()
+    cycles: Dict[str, Dict[str, float]] = {}
+    trace: List[str] = []
+    metric: List[str] = []
+    seen = set()
+    for acct in tracer.accountants:
+        if acct.source in tracer.reset_sources:
+            continue
+        cycles[acct.source] = {}
+        for domain, want in acct.domains().items():
+            seen.add((acct.source, domain))
+            got = totals.counters.get((acct.source, domain)) or Counter()
+            where = f"{acct.source}/{domain}"
+            if (got.sgx_instructions, got.normal_instructions) != (
+                want.sgx_instructions, want.normal_instructions
+            ):
+                trace.append(
+                    f"{where}: traced sgx={got.sgx_instructions} "
+                    f"normal={got.normal_instructions} != counter "
+                    f"sgx={want.sgx_instructions} normal={want.normal_instructions}"
+                )
+            for event, field in (("crossing", "enclave_crossings"),
+                                 ("switchless_hit", "switchless_calls")):
+                if getattr(got, field) != getattr(want, field):
+                    trace.append(
+                        f"{where}: {getattr(got, field)} {event} events != "
+                        f"counter {getattr(want, field)}"
+                    )
+            g, w = got.as_dict(), want.as_dict()
+            metric += [
+                f"{where}: metric {family}={g[field]} != counter {field}={w[field]}"
+                for field, family in _RECONCILED_FAMILIES
+                if g[field] != w[field]
+            ]
+            cycles[acct.source][domain] = tracer.cycles_at(
+                want.sgx_instructions, want.normal_instructions
+            )
+    reset = {acct.source for acct in tracer.accountants} & tracer.reset_sources
+    for key, got in totals.counters.items():
+        if key not in seen and key[0] not in reset and (
+            got.sgx_instructions or got.normal_instructions
+        ):
+            trace.append(f"{key[0]}/{key[1]}: traced charges with no matching counter")
+    return totals, cycles, trace, metric
+
+
 def reconcile_metrics(registry: MetricsRegistry, tracer) -> None:
     """Assert series totals equal the accountants *exactly* (integers).
 
     For every attached accountant (sources that ``reset()`` are skipped
-    like the tracer does) each Counter field must equal the registry's
-    cumulative series for that ``(source, domain)``, and the finalized
-    last sample must equal the cumulative totals.  A disabled
-    accountant charges nothing, so its counters and series agree by
-    construction.  Raises :class:`MetricsReconcileError` listing every
-    mismatch.
+    like the tracer does) each Counter field must equal the series for
+    that ``(source, domain)``, and the finalized last sample must equal
+    the cumulative totals.  A disabled accountant charges nothing, so
+    its counters and series agree by construction.  Raises
+    :class:`MetricsReconcileError` listing every mismatch.
     """
-    mismatches: List[str] = []
-    for acct in tracer.accountants:
-        if acct.source in tracer.reset_sources:
-            continue
-        for domain, counter in acct.domains().items():
-            labels = (("domain", domain), ("source", acct.source))
-            fields = counter.as_dict()
-            for field, family in _RECONCILED_FAMILIES:
-                got = registry.counters.get((family, labels), 0)
-                if got != fields[field]:
-                    mismatches.append(
-                        f"{acct.source}/{domain}: metric {family}={got} != "
-                        f"counter {field}={fields[field]}"
-                    )
-    # EPC occupancy: the epc_ewb/epc_eldu counter families must equal
-    # the page caches' own eviction/reload counters, summed over every
-    # cache the tracer saw — and with a single cache, the final gauges
-    # must equal its live occupancy.  Skipped when a source reset, like
-    # the per-accountant check above.
+    totals, _, _, mismatches = _compare_accountants(tracer)
+    _check_series(registry, tracer, totals, mismatches)
+
+
+def _check_series(
+    registry: MetricsRegistry, tracer, totals: LogTotals, mismatches: List[str]
+) -> None:
+    """Add the EPC and final-sample checks; raise if anything mismatched.
+
+    EPC: the epc_ewb/epc_eldu families must equal the page caches' own
+    eviction/reload counters, summed over every cache the tracer saw,
+    and with a single cache the last gauges must equal its occupancy
+    (skipped when a source reset).
+    """
     epcs = list(getattr(tracer, "epcs", ()))
     if epcs and not tracer.reset_sources:
         for family, field in (("epc_ewb", "evictions"), ("epc_eldu", "reloads")):
-            got = registry.total(family)
+            got = totals.metric_counts.get(family, 0)
             want = sum(getattr(epc, field) for epc in epcs)
             if got != want:
                 mismatches.append(
@@ -367,13 +431,16 @@ def reconcile_metrics(registry: MetricsRegistry, tracer) -> None:
                 ("epc_resident_pages", epcs[0].resident_count),
                 ("epc_free_frames", epcs[0].free_frames),
             ):
-                gauge = registry.gauges.get((family, ()))
+                gauge = totals.gauges.get(family)
                 if gauge is not None and int(gauge) != want:
                     mismatches.append(
                         f"epc: gauge {family}={gauge} != live {want}"
                     )
-    final = registry.finalize()
-    if final.counters != registry.counters:
+    # A final sample stamped now holds the totals by construction; one
+    # stamped earlier must still equal the counters logged since.
+    if registry._stamp_final() < len(registry._log) - 1 and (
+        registry.samples[-1].counters != registry.counters
+    ):
         mismatches.append("final sample disagrees with cumulative counters")
     if mismatches:
         raise MetricsReconcileError(
@@ -425,23 +492,20 @@ def openmetrics_timeseries(registry: MetricsRegistry) -> str:
     documents.  Ends with ``# EOF`` as the spec requires.
     """
     registry.finalize()
+    samples = registry.samples
     lines: List[str] = []
 
-    counter_keys = sorted({k for s in registry.samples for k in s.counters})
-    gauge_keys = sorted({k for s in registry.samples for k in s.gauges})
-    hist_keys = sorted({k for s in registry.samples for k in s.histograms})
-
-    def families(keys: List[MetricKey]) -> List[Tuple[str, List[MetricKey]]]:
+    def families(attr: str) -> List[Tuple[str, List[MetricKey]]]:
         by_family: Dict[str, List[MetricKey]] = {}
-        for key in keys:
+        for key in sorted({k for s in samples for k in getattr(s, attr)}):
             by_family.setdefault(key[0], []).append(key)
         return sorted(by_family.items())
 
-    def points(sample_dict_name: str, key: MetricKey):
+    def points(attr: str, key: MetricKey):
         """Deduplicated (cycles, value) points for one series."""
         out: List[Tuple[float, Any]] = []
-        for sample in registry.samples:
-            value = getattr(sample, sample_dict_name).get(key)
+        for sample in samples:
+            value = getattr(sample, attr).get(key)
             if value is None:
                 continue
             if out and out[-1][1] == value and sample.boundary != -1:
@@ -449,46 +513,31 @@ def openmetrics_timeseries(registry: MetricsRegistry) -> str:
             out.append((sample.at_cycles, value))
         return out
 
-    for family, keys in families(counter_keys):
-        name = _om_name(family)
-        lines.append(f"# TYPE {name} counter")
-        for key in keys:
-            for cycles, value in points("counters", key):
-                lines.append(
-                    f"{name}_total{_om_labels(key[1])} "
-                    f"{_om_value(value)} {_om_ts(cycles)}"
-                )
-    for family, keys in families(gauge_keys):
-        name = _om_name(family)
-        lines.append(f"# TYPE {name} gauge")
-        for key in keys:
-            for cycles, value in points("gauges", key):
-                lines.append(
-                    f"{name}{_om_labels(key[1])} "
-                    f"{_om_value(value)} {_om_ts(cycles)}"
-                )
-    for family, keys in families(hist_keys):
+    for attr, kind, suffix in (("counters", "counter", "_total"),
+                               ("gauges", "gauge", "")):
+        for family, keys in families(attr):
+            name = _om_name(family)
+            lines.append(f"# TYPE {name} {kind}")
+            for key in keys:
+                for cycles, value in points(attr, key):
+                    lines.append(
+                        f"{name}{suffix}{_om_labels(key[1])} "
+                        f"{_om_value(value)} {_om_ts(cycles)}"
+                    )
+    for family, keys in families("histograms"):
         name = _om_name(family)
         lines.append(f"# TYPE {name} histogram")
         for key in keys:
+            labels = key[1]
             for cycles, (counts, count, total) in points("histograms", key):
                 ts = _om_ts(cycles)
-                acc = 0
-                for bound, c in zip(HISTOGRAM_BUCKETS, counts):
-                    acc += c
-                    le = 'le="%d"' % bound
-                    lines.append(
-                        f"{name}_bucket{_om_labels(key[1], le)} {acc} {ts}"
-                    )
-                inf = 'le="+Inf"'
+                cumulative = [*itertools.accumulate(counts[:-1]), count]
+                for bound, acc in zip([*HISTOGRAM_BUCKETS, "+Inf"], cumulative):
+                    le = f'le="{bound}"'
+                    lines.append(f"{name}_bucket{_om_labels(labels, le)} {acc} {ts}")
+                lines.append(f"{name}_count{_om_labels(labels)} {count} {ts}")
                 lines.append(
-                    f"{name}_bucket{_om_labels(key[1], inf)} {count} {ts}"
-                )
-                lines.append(
-                    f"{name}_count{_om_labels(key[1])} {count} {ts}"
-                )
-                lines.append(
-                    f"{name}_sum{_om_labels(key[1])} {_om_value(total)} {ts}"
+                    f"{name}_sum{_om_labels(labels)} {_om_value(total)} {ts}"
                 )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

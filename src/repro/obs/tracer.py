@@ -18,16 +18,20 @@ Three invariants the design leans on:
   are byte-identical with tracing off *and* on (the tracer observes
   charges, it never adds any).
 
-* **Exact reconciliation.**  Spans accumulate *raw instruction
-  integers* per ``(source, domain)`` — not float cycles — so the sum
-  over all spans (plus the orphan bucket for charges that land outside
-  any span) equals each accountant's counters exactly, int for int.
-  :func:`repro.obs.reconcile` asserts this.
+* **One charge log, views on read, exact totals.**  While tracing,
+  every accountant hook, span open/close and metric helper appends one
+  tuple to a single append-only log, in call order, and does nothing
+  else.  ``spans``, ``instants``, ``orphans``, ``clock`` and an attached
+  registry's series fold from the log's unread tail when first read, in
+  one pass.  The log carries *raw instruction integers* per
+  ``(source, domain)``, so :func:`repro.obs.reconcile` holds its sums
+  (:meth:`Tracer.totals`) equal to every accountant's counters, int
+  for int, without folding a view.
 
-* **Strict nesting.**  Spans live on one global stack and only wrap
-  synchronous code (an ecall body, one ocall, one record protect);
-  instrumentation never spans across a simulator ``yield``.  Global
-  nesting therefore implies per-domain nesting.
+* **Strict nesting.**  Spans only wrap synchronous code (an ecall body,
+  one ocall, one record protect) and close innermost first; they never
+  stretch across a simulator ``yield``.  Global nesting therefore
+  implies per-domain nesting.
 """
 
 from __future__ import annotations
@@ -35,12 +39,35 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cost import accountant as _accountant_mod
 from repro.cost import context as _cost_context
-from repro.cost.accountant import CostAccountant
+from repro.cost.accountant import Counter, CostAccountant
 from repro.cost.model import DEFAULT_MODEL, CostModel
+
+# Log records, by tag: (CHARGE, source, domain, sgx, normal), (INSTANT,
+# name, source, domain, count, args), (FIELD, field, source, domain, count),
+# (OPEN, name, kind, domain, source), (CLOSE, error); and from the metrics
+# registry: (INC|GAUGE|OBSERVE, name, value, labels), (CLOCK, cycles), (FINAL,).
+CHARGE, INSTANT, FIELD, OPEN, CLOSE, INC, GAUGE, OBSERVE, CLOCK, FINAL = range(10)
+
+#: Counter field positions (its field order) of the logged instants and
+#: fields; charges fill positions 0 (sgx) and 1 (normal).
+_COUNTER_INDEX = {
+    INSTANT: {"crossing": 2, "switchless_hit": 4},
+    FIELD: {"allocations": 3, "faults_injected": 5},
+}
+
+
+def _view(attr: str, doc: str) -> property:
+    """A read-only attribute that folds the log before returning ``attr``."""
+
+    def get(self):
+        self._fold()
+        return getattr(self, attr)
+
+    return property(get, doc=doc)
 
 
 @dataclasses.dataclass
@@ -93,6 +120,31 @@ class Instant:
     args: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
 
+class LogTotals(NamedTuple):
+    """Integer sums of a whole log (see :meth:`Tracer.totals`)."""
+
+    counters: Dict[Tuple[str, str], Counter]  # per charging (source, domain)
+    metric_counts: Dict[str, int]  # counter records per family, all labels
+    gauges: Dict[str, float]  # last value of each unlabeled gauge
+
+
+class _SpanScope:
+    """What :meth:`Tracer.span` returns: logs the open and the close."""
+
+    __slots__ = ("_log", "_open")
+
+    def __init__(self, log: List[tuple], record: tuple) -> None:
+        self._log = log
+        self._open = record
+
+    def __enter__(self) -> None:
+        self._log.append(self._open)
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._log.append((CLOSE, exc_type is not None))
+        return False
+
+
 class Tracer:
     """Deterministic span recorder driven by the cost model's clock.
 
@@ -105,13 +157,9 @@ class Tracer:
         self, model: CostModel = DEFAULT_MODEL, metrics: Optional[Any] = None
     ) -> None:
         self.model = model
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry` riding
-        #: along: every charge/instant is mirrored into it and the
-        #: sample clock advances with this tracer's cycle clock.  Stays
-        #: ``None`` by default — the metrics layer is strictly opt-in.
+        #: Optional :class:`repro.obs.metrics.MetricsRegistry` riding on
+        #: this tracer's log and clock (opt-in: ``None`` by default).
         self.metrics = metrics
-        self.spans: List[Span] = []
-        self.instants: List[Instant] = []
         self.accountants: List[CostAccountant] = []
         self.reset_sources: Set[str] = set()
         #: Live :class:`repro.sgx.epc.EnclavePageCache` objects created
@@ -119,28 +167,117 @@ class Tracer:
         #: ``reconcile_metrics`` to hold the ``epc_*`` metric families
         #: equal to the caches' own eviction/reload counters.
         self.epcs: List[Any] = []
-        #: Charges recorded while no span was open, per (source, domain).
-        self.orphans: Dict[Tuple[str, str], List[int]] = {}
-        self._stack: List[Span] = []
-        self._seq = 0
-        self._clock_sgx = 0
-        self._clock_normal = 0
         self._source_counts: Dict[str, int] = {}
+        self._log: List[tuple] = metrics._log if metrics is not None else []
+        self._folded = 0  # the views hold the log up to here
+        self._spans: List[Span] = []
+        self._instants: List[Instant] = []
+        self._orphans: Dict[Tuple[str, str], List[int]] = {}
+        self._open: List[Span] = []
+        self._seq = 0
+        self._clock: Tuple[int, int] = (0, 0)
+        if metrics is not None:
+            metrics._tracer = self
 
-    # -- clock -------------------------------------------------------------
+    spans = _view("_spans", "Every span opened so far, in open order.")
+    instants = _view("_instants", "Every instant so far, in order.")
+    orphans = _view(
+        "_orphans", "Charges logged while no span was open, per (source, domain)."
+    )
 
-    @property
-    def clock(self) -> Tuple[int, int]:
-        """Current (sgx, normal) instruction clocks."""
-        return self._clock_sgx, self._clock_normal
+    clock = _view("_clock", "Current (sgx, normal) instruction clocks.")
 
     def cycles_at(self, sgx: int, normal: int) -> float:
         """Convert an instruction-clock reading to modeled cycles."""
         return self.model.cycles(sgx, normal)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    def _fold(self) -> None:
+        """Fold the log's unread tail into every view, the registry's too."""
+        log = self._log
+        end = len(log)
+        if self._folded == end:
+            return
+        registry = self.metrics
+        counters = registry._counters if registry is not None else None
+        cycles = self.model.cycles
+        spans, stack, orphans = self._spans, self._open, self._orphans
+        seq, (clock_sgx, clock_normal) = self._seq, self._clock
+        for i in range(self._folded, end):
+            rec = log[i]
+            tag = rec[0]
+            if tag == CHARGE:
+                _, source, domain, sgx, normal = rec
+                clock_sgx += sgx
+                clock_normal += normal
+                counts = stack[-1].self_counts if stack else orphans
+                cell = counts.get((source, domain))
+                if cell is None:
+                    counts[(source, domain)] = [sgx, normal]
+                else:
+                    cell[0] += sgx
+                    cell[1] += normal
+                if counters is not None:
+                    labels = (("domain", domain), ("source", source))
+                    if sgx:
+                        key = ("sgx_instructions", labels)
+                        counters[key] = counters.get(key, 0) + sgx
+                    if normal:
+                        key = ("normal_instructions", labels)
+                        counters[key] = counters.get(key, 0) + normal
+                    registry.observe_clock(cycles(clock_sgx, clock_normal))
+            elif tag == OPEN:
+                seq += 1
+                s = Span(len(spans) + 1, stack[-1].span_id if stack else None,
+                         *rec[1:], seq, clock_sgx, clock_normal)
+                spans.append(s)
+                stack.append(s)
+            elif tag == CLOSE:
+                s = stack.pop()
+                seq += 1
+                s.close_seq, s.end_sgx, s.end_normal = seq, clock_sgx, clock_normal
+                s.error = rec[1]
+            elif tag == INSTANT or tag == FIELD:
+                _, name, source, domain, count = rec[:5]
+                if tag == INSTANT:
+                    seq += 1
+                    self._instants.append(Instant(seq, name, source, domain,
+                                                  clock_sgx, clock_normal, count, rec[5]))
+                    name = f"event:{name}"
+                if counters is not None:
+                    key = (name, (("domain", domain), ("source", source)))
+                    counters[key] = counters.get(key, 0) + count
+            elif registry is not None:
+                registry._apply(rec)
+        self._folded = end
+        self._seq, self._clock = seq, (clock_sgx, clock_normal)
+
+    def totals(self) -> LogTotals:
+        """Sum the whole log as integers, building no span or sample.
+
+        ``counters`` holds, per ``(source, domain)``, what an accountant
+        attached from the start holds in its Counter.
+        """
+        cells: Dict[Tuple[str, str], List[int]] = {}
+        metric_counts: Dict[str, int] = {}
+        gauges: Dict[str, float] = {}
+        for rec in self._log:
+            tag = rec[0]
+            if tag == CHARGE:
+                cell = cells.get(rec[1:3]) or cells.setdefault(rec[1:3], [0] * 6)
+                cell[0] += rec[3]
+                cell[1] += rec[4]
+            elif tag == INSTANT or tag == FIELD:
+                index = _COUNTER_INDEX[tag].get(rec[1])
+                if index is not None:
+                    key = rec[2:4]
+                    cell = cells.get(key) or cells.setdefault(key, [0] * 6)
+                    cell[index] += rec[4]
+            elif tag == INC:
+                metric_counts[rec[1]] = metric_counts.get(rec[1], 0) + rec[2]
+            elif tag == GAUGE and not rec[3]:
+                gauges[rec[1]] = rec[2]
+        counters = {key: Counter(*cell) for key, cell in cells.items()}
+        return LogTotals(counters, metric_counts, gauges)
 
     # -- accountant hookup -------------------------------------------------
 
@@ -160,108 +297,36 @@ class Tracer:
         for acct in self.accountants:
             acct.tracer = None
 
-    # -- charge / event sinks (called by CostAccountant) -------------------
+    # -- hooks (called by CostAccountant): one log record each -------------
 
     def on_charge(self, source: str, domain: str, sgx: int, normal: int) -> None:
-        """Advance the clock and attribute to the innermost open span."""
-        self._clock_sgx += sgx
-        self._clock_normal += normal
-        if self._stack:
-            counts = self._stack[-1].self_counts
-        else:
-            counts = self.orphans
-        key = (source, domain)
-        cell = counts.get(key)
-        if cell is None:
-            counts[key] = [sgx, normal]
-        else:
-            cell[0] += sgx
-            cell[1] += normal
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.observe_charge(source, domain, sgx, normal)
-            metrics.on_clock(
-                self.model.cycles(self._clock_sgx, self._clock_normal)
-            )
+        """Log one charge; the clock and span self-counts fold from it."""
+        self._log.append((CHARGE, source, domain, sgx, normal))
 
     def on_instant(
-        self,
-        name: str,
-        source: str,
-        domain: str,
-        count: int = 1,
-        **args: Any,
+        self, name: str, source: str, domain: str, count: int = 1, **args: Any
     ) -> None:
-        """Record a typed point event at the current clock."""
-        self.instants.append(
-            Instant(
-                seq=self._next_seq(),
-                name=name,
-                source=source,
-                domain=domain,
-                ts_sgx=self._clock_sgx,
-                ts_normal=self._clock_normal,
-                count=count,
-                args=args,
-            )
-        )
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.observe_instant(name, source, domain, count)
+        """Log a typed point event, stamped with the clock when folded."""
+        self._log.append((INSTANT, name, source, domain, count, args))
 
     def on_field(self, field: str, source: str, domain: str, count: int) -> None:
-        """Mirror an instant-less counter field into the metrics registry.
-
-        ``faults_injected`` and ``allocations`` have no instant in the
-        trace stream (see ``charge_fault``'s docstring), so the
-        accountant forwards them here directly — the metrics layer can
-        then reconcile *every* Counter field, not just the traced ones.
-        No-op without a registry.
-        """
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.observe_field(field, source, domain, count)
+        """Log a Counter field no instant carries (faults, allocations)."""
+        self._log.append((FIELD, field, source, domain, count))
 
     def on_reset(self, source: str) -> None:
         """Note that ``source`` discarded its counters (reconcile skips it)."""
         self.reset_sources.add(source)
 
-    # -- spans -------------------------------------------------------------
-
-    @contextlib.contextmanager
     def span(
-        self,
-        name: str,
-        kind: str = "span",
-        domain: str = "",
-        source: str = "",
-    ) -> Iterator[Span]:
-        """Record a nested region; charges inside land in its self-counts."""
-        parent = self._stack[-1] if self._stack else None
-        s = Span(
-            span_id=len(self.spans) + 1,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            kind=kind,
-            domain=domain,
-            source=source,
-            open_seq=self._next_seq(),
-            start_sgx=self._clock_sgx,
-            start_normal=self._clock_normal,
-        )
-        self.spans.append(s)
-        self._stack.append(s)
-        try:
-            yield s
-        except BaseException:
-            s.error = True
-            raise
-        finally:
-            popped = self._stack.pop()
-            assert popped is s, "span stack corrupted (overlapping spans)"
-            s.close_seq = self._next_seq()
-            s.end_sgx = self._clock_sgx
-            s.end_normal = self._clock_normal
+        self, name: str, kind: str = "span", domain: str = "", source: str = ""
+    ) -> _SpanScope:
+        """Record a nested region; charges inside land in its self-counts.
+
+        The context manager yields ``None`` (the :class:`Span` exists
+        only once the log is folded); an exception leaving the block
+        marks the span ``error``.
+        """
+        return _SpanScope(self._log, (OPEN, name, kind, domain, source))
 
 
 #: Shared no-op context manager returned when tracing is off.  One

@@ -149,7 +149,10 @@ class TestSpanStack:
         (span,) = tracer.spans
         assert span.error
         assert span.closed
-        assert tracer._stack == []
+        # The stack unwound: the next span is a root, not a child of "boom".
+        with tracer.span("after"):
+            pass
+        assert tracer.spans[-1].parent_id is None
 
     def test_module_span_is_noop_when_off(self):
         # No tracer active anywhere: the helper returns the shared

@@ -9,6 +9,7 @@ needs no padding).
 
 from __future__ import annotations
 
+from repro.cost import context as cost_context
 from repro.crypto.aes import AES
 from repro.crypto.util import pad_pkcs7, unpad_pkcs7, xor_bytes
 from repro.errors import CryptoError
@@ -85,6 +86,27 @@ class CtrStream:
             self._counter = (self._counter + n_blocks) % (1 << 128)
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
+
+    def skip(self, n: int) -> None:
+        """Discard the next ``n`` keystream bytes without charging.
+
+        Leaves the stream exactly where ``keystream(n)`` would, but
+        computes at most one block: the one the new leftover comes
+        from.  A caller that skips owes the model the blocks
+        ``keystream(n)`` would have charged (the cohort tier replays
+        them in its captured burst).
+        """
+        if n <= len(self._buffer):
+            self._buffer = self._buffer[n:]
+            return
+        whole, rest = divmod(n - len(self._buffer), 16)
+        self._counter = (self._counter + whole) % (1 << 128)
+        self._buffer = b""
+        if rest:
+            with cost_context.use_accountant(None):
+                block = self._cipher.ctr_keystream(self._counter, 1)
+            self._counter = (self._counter + 1) % (1 << 128)
+            self._buffer = block[rest:]
 
     def process(self, data: bytes) -> bytes:
         """XOR ``data`` with the next keystream bytes."""

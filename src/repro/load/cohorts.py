@@ -1,35 +1,42 @@
 """The cohort tier: million-client load folds without per-client replay.
 
 Statistically identical clients are folded into *cohorts*: once one
-dispatch with a given observable signature — front shard, (op, key)
-sequence, dead-shard set, channel keystream positions — has executed
-for real, every later dispatch with the same signature carries a count
-instead of re-executing.  A replayed dispatch charges the cold run's
-exact per-domain integer counter deltas (:meth:`~repro.cost.accountant.
-CostAccountant.charge_burst` is pinned exactly equivalent to the
-itemized charges), bumps the same program-internal shard stats, and
-fast-forwards the inter-shard channels through
-:meth:`~repro.load.engine._RoutingBackend.skip_dispatch` — so the
-accountants, shard stats and queueing fold are integer-for-integer
-identical to per-client replay, which the hypothesis equivalence suite
-(``tests/load/test_cohorts.py``) enforces byte-for-byte on the report.
+dispatch with a given signature has executed for real, every later
+dispatch with the same signature replays it.  A replay charges the
+cold run's exact per-domain integer counter deltas
+(:meth:`~repro.cost.accountant.CostAccountant.charge_burst` is pinned
+exactly equivalent to the itemized charges), bumps the same shard
+stats and moves the inter-shard channels to where the dispatch would
+have left them — so the report is byte-identical to per-client
+replay, which ``tests/load/test_cohorts.py`` enforces.
 
-Correctness of the cache rests on three properties the repo already
-pins elsewhere:
+**Signature.**  A dispatch's *base* is its sorted dead-shard set,
+front shard, ``(op, key)`` tuple and live channel sessions.  The first
+capture of a base measures, per channel, the sequence numbers and the
+keystream bytes ``N`` each direction consumes.  A CTR stream refills
+with the fewest blocks that cover a request, so from byte offset ``o``
+the ``N`` bytes draw ``ceil((o + N) / 16) - ceil(o / 16)`` AES blocks
+however they split into records; the signature is the base plus those
+block counts (at most four per base with one query and one reply
+stream; ECB channels draw none).  A later capture of a base that
+consumes different bytes is not memoized.
 
-* dispatch charges are position-independent given channel keystream
-  leftovers (the lock-step suite compares counters after every
-  dispatch);
-* ``charge_burst`` is exactly equivalent to itemized charging,
-  including what a tracer observes (the accountant tests);
-* an exhausted fault plan's ``decide`` is a pure no-op, so caching is
-  only bypassed while a plan can still fire (the fault-matrix tests).
+**Replay.**  A hit charges the captured burst, adds the stat and
+sequence deltas on both endpoints, and moves the four streams past the
+consumed bytes with :meth:`~repro.crypto.modes.CtrStream.skip` (at
+most one block computed each, nothing charged).
 
-Dispatches are cached only for the flat routing backend: the
-middlebox backend seeds each flow by dispatch index, Tor couples to
-the global simulation clock, and the two-level tree's relay charges
-depend on head liveness — those run through the same streaming fold
-uncached (correct, just without the replay speedup).
+The cache is bypassed while a fault plan can still fire (decisions
+consume plan state; an exhausted plan's ``decide`` is a no-op) and on
+a lost deployment.  Under a metrics registry every real dispatch that
+is not memoized is counted by reason: ``load_cohort_bypass_faults``,
+``load_cohort_bypass_lost`` or ``load_cohort_uncacheable`` (a
+non-``ok`` outcome or a base's traffic changing).
+
+Only the flat routing backend is cached: the middlebox backend seeds
+each flow by dispatch index, Tor couples to the global simulation
+clock, and the two-level tree's relay charges depend on head liveness
+— those run through the same streaming fold uncached.
 """
 
 from __future__ import annotations
@@ -49,72 +56,94 @@ from repro.obs.metrics import metric_count, metric_gauge, metric_observe
 __all__ = ["CohortLoadEngine", "run_load_cohorts"]
 
 
+def _positions(channels) -> List[tuple]:
+    """Per channel, its sequence numbers and keystream byte offsets."""
+    out = []
+    for _sid, chan, _peer in channels:
+        if chan.cipher == "ecb":
+            out.append((chan._send_seq, chan._recv_seq, 0, 0))
+            continue
+        send, recv = chan._send_stream, chan._recv_stream
+        out.append((
+            chan._send_seq,
+            chan._recv_seq,
+            16 * send._counter - len(send._buffer),
+            16 * recv._counter - len(recv._buffer),
+        ))
+    return out
+
+
+def _blocks(positions, traffic) -> tuple:
+    """Per stream, the AES blocks ``traffic`` draws from ``positions``."""
+    return tuple(
+        -(-(offset + n) // 16) + (-offset // 16)
+        for position, consumed in zip(positions, traffic)
+        for offset, n in zip(position[2:], consumed[2:])
+    )
+
+
 class _CohortCache:
     """Dispatch-replay cache wrapped around a flat routing backend."""
 
     def __init__(self, backend) -> None:
         self._backend = backend
-        #: signature -> (costs, per-shard per-domain counter deltas,
-        #: per-shard stat deltas, per-event (outcome, payload) row)
+        #: base -> per live channel, the (send seqs, recv seqs, send
+        #: bytes, recv bytes) its first capture consumed
+        self._traffic: Dict[tuple, tuple] = {}
+        #: (base, blocks) -> (costs, per-shard per-domain counter
+        #: deltas, per-shard stat deltas, per-event (outcome, payload) row)
         self._entries: Dict[tuple, tuple] = {}
 
     def __getattr__(self, name):
         return getattr(self._backend, name)
 
-    def _signature(self, slot: int, events) -> tuple:
+    def _channels(self) -> List[tuple]:
+        """``(session_id, lower endpoint, upper endpoint)`` per live pair."""
         dep = self._backend.dep
-        live = dep._live_ids()
-        front = live[slot % len(live)]
-        channels = []
-        for (a, b), session_id in sorted(dep.sessions.items()):
-            if a >= b or a in dep.dead or b in dep.dead:
-                continue
-            chan = dep.enclaves[a]._program._sessions[session_id].channel
-            if chan.cipher == "ecb":
-                channels.append((session_id, -1, -1))
-            else:
-                channels.append(
-                    (
-                        session_id,
-                        len(chan._send_stream._buffer),
-                        len(chan._recv_stream._buffer),
-                    )
-                )
-        return (
-            tuple(sorted(dep.dead)),
-            front,
-            tuple((ev.op, ev.key) for ev in events),
-            tuple(channels),
-        )
+        return [
+            (
+                session_id,
+                dep.enclaves[a]._program._sessions[session_id].channel,
+                dep.enclaves[b]._program._sessions[session_id].channel,
+            )
+            for (a, b), session_id in sorted(dep.sessions.items())
+            if a < b and a not in dep.dead and b not in dep.dead
+        ]
 
     def dispatch(self, slot: int, events, index: int = 0):
-        plan = faults.current_plan()
-        if self._backend._lost or (plan is not None and not plan.exhausted()):
-            # A live fault plan makes dispatch outcomes order-dependent
-            # (crash decisions consume plan state); a lost deployment
-            # is pure bookkeeping.  Neither is cacheable.
+        if self._backend._lost:
+            metric_count("load_cohort_bypass_lost")
             return self._backend.dispatch(slot, events, index)
-        key = self._signature(slot, events)
-        entry = self._entries.get(key)
-        if entry is not None:
-            metric_count("load_cohort_hits")
-            return self._replay(slot, events, index, entry)
+        plan = faults.current_plan()
+        if plan is not None and not plan.exhausted():
+            metric_count("load_cohort_bypass_faults")
+            return self._backend.dispatch(slot, events, index)
+        dep = self._backend.dep
+        live = dep._live_ids()
+        channels = self._channels()
+        base = (
+            tuple(sorted(dep.dead)),
+            live[slot % len(live)],
+            tuple((ev.op, ev.key) for ev in events),
+            tuple(session_id for session_id, _chan, _peer in channels),
+        )
+        positions = _positions(channels)
+        traffic = self._traffic.get(base)
+        if traffic is not None:
+            entry = self._entries.get((base, _blocks(positions, traffic)))
+            if entry is not None:
+                metric_count("load_cohort_hits")
+                return self._replay(events, entry, channels, traffic)
         metric_count("load_cohort_misses")
-        result = self._capture(key, slot, events, index)
+        result = self._capture(
+            base, traffic, channels, positions, slot, events, index
+        )
         metric_gauge("load_cohort_cache_size", len(self._entries))
         return result
 
-    def _chan_seqs(self) -> List[tuple]:
-        dep = self._backend.dep
-        out = []
-        for (a, b), session_id in sorted(dep.sessions.items()):
-            if a >= b or a in dep.dead or b in dep.dead:
-                continue
-            chan = dep.enclaves[a]._program._sessions[session_id].channel
-            out.append((session_id, chan._send_seq, chan._recv_seq))
-        return out
-
-    def _capture(self, key: tuple, slot: int, events, index: int):
+    def _capture(
+        self, base, traffic, channels, positions, slot, events, index
+    ):
         dep = self._backend.dep
         accountants = dep.accountants()
         acct_before = {
@@ -124,13 +153,21 @@ class _CohortCache:
             shard_id: dict(vars(dep.enclaves[shard_id]._program._core.stats))
             for shard_id in dep._live_ids()
         }
-        seqs_before = self._chan_seqs()
         costs, per_event = self._backend.dispatch(slot, events, index)
         rows = [per_event[ev.seq] for ev in events]
-        if any(outcome != "ok" for outcome, _payload in rows):
-            # Something unexpected moved deployment state (should be
-            # unreachable without an active plan) — don't memoize it.
+        measured = None
+        if all(outcome == "ok" for outcome, _payload in rows):
+            measured = tuple(
+                tuple(after - before for after, before in zip(now, then))
+                for now, then in zip(_positions(channels), positions)
+            )
+        if measured is None or traffic not in (None, measured):
+            # Something moved deployment state (unreachable without an
+            # active plan), or the base's channel traffic changed: the
+            # charges are not the base's to share.
+            metric_count("load_cohort_uncacheable")
             return costs, per_event
+        self._traffic[base] = measured
         acct_delta = {}
         for shard_id, acct in accountants.items():
             domains = {
@@ -150,14 +187,13 @@ class _CohortCache:
             }
             if fields:
                 stats_delta[shard_id] = fields
-        touched_channels = self._chan_seqs() != seqs_before
-        self._entries[key] = (
-            dict(costs), acct_delta, stats_delta, rows, touched_channels
+        self._entries[(base, _blocks(positions, measured))] = (
+            dict(costs), acct_delta, stats_delta, rows
         )
         return costs, per_event
 
-    def _replay(self, slot: int, events, index: int, entry: tuple):
-        costs, acct_delta, stats_delta, rows, touched_channels = entry
+    def _replay(self, events, entry: tuple, channels, traffic):
+        costs, acct_delta, stats_delta, rows = entry
         dep = self._backend.dep
         accountants = dep.accountants()
         for shard_id in sorted(acct_delta):
@@ -176,10 +212,20 @@ class _CohortCache:
             stats = dep.enclaves[shard_id]._program._core.stats
             for field, delta in stats_delta[shard_id].items():
                 setattr(stats, field, getattr(stats, field) + delta)
-        if touched_channels:
-            # Channel sequence numbers and keystream positions advance
-            # exactly as the executed dispatch would have advanced them.
-            self._backend.skip_dispatch(slot, events, index)
+        # The replay harness is part of the simulator, not the modeled
+        # host, so it may move channel state past the ecall boundary.
+        for (_sid, chan, peer), (d_send, d_recv, n_send, n_recv) in zip(
+            channels, traffic
+        ):
+            chan._send_seq += d_send
+            peer._recv_seq += d_send
+            chan._recv_seq += d_recv
+            peer._send_seq += d_recv
+            if chan.cipher != "ecb":
+                chan._send_stream.skip(n_send)
+                peer._recv_stream.skip(n_send)
+                chan._recv_stream.skip(n_recv)
+                peer._send_stream.skip(n_recv)
         per_event = {
             ev.seq: rows[i] for i, ev in enumerate(events)
         }

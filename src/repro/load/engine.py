@@ -192,83 +192,6 @@ class _RoutingBackend:
             out[shard_id] = counter_cycles(acct.total(), model)
         return out
 
-    def skip_dispatch(
-        self, slot: int, events: Sequence[ClientEvent], index: int
-    ) -> None:
-        """Advance channel state past a dispatch that is not executed.
-
-        The inter-shard record channels are stateful: sequence numbers
-        and the CTR keystream position advance with every record, and
-        leftover keystream straddles records (so a dispatch's AES block
-        count depends on the bytes sent before it).  The cohort cache
-        replays a dispatch's charges without executing it, then calls
-        this to fast-forward the channel traffic the dispatch would
-        have exchanged — sequence bumps plus keystream consumption —
-        without charging anything (every record length here is a pure
-        function of the deployment's own frozen RIB).
-        """
-        from repro.crypto.cache import _ChargeRecorder
-        from repro.net.channel import encode_record_batch
-        from repro.load.shards import SMSG_QUERY, SMSG_REPLY
-        from repro.wire import Writer
-        from repro.cost import context as cost_context
-
-        live = self.dep._live_ids()
-        front = live[slot % len(live)]
-        owner_map = self.dep.owner_map()
-        by_owner: Dict[int, List[Tuple[int, int]]] = {}
-        for ev in events:
-            if ev.op != "route_request":
-                continue
-            owner = owner_map[ev.key]
-            if owner != front:
-                by_owner.setdefault(owner, []).append((ev.seq, ev.key))
-        if not by_owner:
-            return
-
-        # Emulator-internal access: the replay harness is part of the
-        # simulator, not the modeled untrusted host, so it may reach
-        # past the ecall boundary to mirror state it already determines.
-        front_prog = self.dep.enclaves[front]._program
-        step = max(1, self.dep.batch)
-        with cost_context.use_accountant(_ChargeRecorder(None)):
-            for owner, items in by_owner.items():
-                owner_prog = self.dep.enclaves[owner]._program
-                session_id = self.dep.sessions[(front, owner)]
-                front_chan = front_prog._sessions[session_id].channel
-                owner_chan = owner_prog._sessions[session_id].channel
-                core = owner_prog._core
-                for i in range(0, len(items), step):
-                    chunk = items[i : i + step]
-                    queries = [
-                        Writer().u8(SMSG_QUERY).u64(req_id).u64(asn).getvalue()
-                        for req_id, asn in chunk
-                    ]
-                    replies = [
-                        Writer()
-                        .u8(SMSG_REPLY)
-                        .u64(req_id)
-                        .varbytes(core.reply_for(asn))
-                        .getvalue()
-                        for req_id, asn in chunk
-                    ]
-                    if len(chunk) == 1:
-                        q_len, r_len = len(queries[0]), len(replies[0])
-                    else:
-                        q_len = len(encode_record_batch(queries))
-                        r_len = len(encode_record_batch(replies))
-                    self._advance(front_chan, owner_chan, q_len)
-                    self._advance(owner_chan, front_chan, r_len)
-
-    @staticmethod
-    def _advance(sender, receiver, plaintext_len: int) -> None:
-        """One record of ``plaintext_len`` flowed sender -> receiver."""
-        sender._send_seq += 1
-        receiver._recv_seq += 1
-        if sender.cipher != "ecb":
-            sender._send_stream.keystream(plaintext_len)
-            receiver._recv_stream.keystream(plaintext_len)
-
     def steady_counters(self) -> Dict[str, int]:
         total: Dict[str, int] = {}
         for shard_id, acct in self.dep.accountants().items():

@@ -173,3 +173,37 @@ def test_property_ctr_roundtrip(key, data):
 def test_property_ecb_roundtrip(data):
     cipher = AES(b"k" * 16)
     assert ecb_decrypt(cipher, ecb_encrypt(cipher, data)) == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prefix=st.integers(min_value=0, max_value=40),
+    n=st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=6).map(lambda k: 16 * k),
+        st.integers(min_value=0, max_value=120),
+    ),
+    m=st.integers(min_value=0, max_value=80),
+)
+def test_property_ctr_skip_matches_keystream(prefix, n, m):
+    """``skip(n)`` lands where ``keystream(n)`` does and charges nothing.
+
+    ``prefix`` sets the leftover ``n`` starts from, so the draws cover
+    ``n`` inside the leftover, ``n`` a whole number of blocks and
+    ``n = 0``.
+    """
+    from repro.cost import context as cost_context
+    from repro.cost.accountant import CostAccountant
+
+    key = b"skip-test-key-16"
+    skipped, drawn = CtrStream(key), CtrStream(key)
+    skipped.keystream(prefix)
+    drawn.keystream(prefix)
+    acct = CostAccountant()
+    with cost_context.use_accountant(acct):
+        skipped.skip(n)
+    assert not any(acct.total().as_dict().values())
+    assert skipped.keystream(m) == drawn.keystream(n + m)[n:]
+    assert skipped._counter == drawn._counter
+    assert skipped._buffer == drawn._buffer

@@ -158,16 +158,44 @@ class TestRandomizedEquivalence:
         )
 
 
-class TestLockstep:
-    """Dispatch-granular equivalence: counters match after *every* step,
-    so a cache bug cannot hide behind later compensating errors."""
+def _channel_state(dep) -> dict:
+    """Sequence numbers and CTR stream state of every live endpoint."""
+    state = {}
+    for (a, b), session_id in sorted(dep.sessions.items()):
+        if a in dep.dead or b in dep.dead:
+            continue
+        chan = dep.enclaves[a]._program._sessions[session_id].channel
+        streams = ()
+        if chan.cipher != "ecb":
+            streams = tuple(
+                (stream._counter, stream._buffer)
+                for stream in (chan._send_stream, chan._recv_stream)
+            )
+        state[(a, b)] = (session_id, chan._send_seq, chan._recv_seq, streams)
+    return state
 
-    def test_counters_integer_equal_after_every_dispatch(self):
-        scenario, clients, shards, batch, seed = "routing", 40, 3, 4, 0
+
+class TestLockstep:
+    """Dispatch-granular equivalence: counters, channel sequence numbers
+    and keystream positions match after *every* step, so a cache bug
+    cannot hide behind later compensating errors."""
+
+    @staticmethod
+    def _walk(clients, n_events, shards, batch) -> float:
+        """Step both tiers in lock-step; return the share of hits."""
+        scenario, seed = "routing", 0
         ref = make_backend(scenario, shards, batch, 24, seed)
         coh = make_backend(scenario, shards, batch, 24, seed)
+        executed = []
+        real_dispatch = coh.dispatch
+
+        def counting_dispatch(*args):
+            executed.append(args[2])
+            return real_dispatch(*args)
+
+        coh.dispatch = counting_dispatch
         cached = _CohortCache(coh)
-        events = generate_events(scenario, clients, clients, ref.keys(), seed)
+        events = generate_events(scenario, clients, n_events, ref.keys(), seed)
         plan = plan_dispatches(events, shards, batch)
         ref_engine = LoadEngine(ref, shards, batch)
         coh_engine = CohortLoadEngine(cached, shards, batch)
@@ -183,8 +211,22 @@ class TestLockstep:
                 for sid, acct in coh.dep.accountants().items()
             }
             assert ref_counters == coh_counters, f"diverged at dispatch {index}"
+            assert _channel_state(ref.dep) == _channel_state(coh.dep), (
+                f"channel state diverged at dispatch {index}"
+            )
             assert ref_engine.busy_until == coh_engine.busy_until
         assert len(cached._entries) > 0  # the cache actually engaged
+        return 1 - len(executed) / len(plan)
+
+    def test_counters_integer_equal_after_every_dispatch(self):
+        self._walk(clients=40, n_events=40, shards=3, batch=4)
+
+    def test_bench_shape_state_equal_after_every_dispatch(self):
+        # the bench routing_scale shape, where most dispatches replay
+        hit_share = self._walk(
+            clients=100_000, n_events=400, shards=2, batch=1
+        )
+        assert hit_share >= 0.6
 
 
 class TestAggregateResult:
@@ -219,3 +261,15 @@ class TestAggregateResult:
             run_load_cohorts("routing", 200, 2, 1, 0)
         assert registry.total("load_cohort_hits") > 0
         assert registry.total("load_cohort_misses") > 0
+
+    def test_bench_shape_mostly_replays(self):
+        from repro import obs
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry(interval=10_000_000)
+        with obs.tracing(obs.Tracer(metrics=registry)):
+            run_load_cohorts("routing", 100_000, 2, 1, 1, n_events=2000)
+        misses = registry.total("load_cohort_misses")
+        dispatches = misses + registry.total("load_cohort_hits")
+        assert dispatches == 2000
+        assert misses <= 0.10 * dispatches

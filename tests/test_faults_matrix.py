@@ -345,3 +345,24 @@ def test_cohort_crash_recovery_reproducible(seed):
         with faults.active(plan):
             texts.append(bench_json(run_load_cohorts("routing", 40, 3, 2, seed)))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize(
+    "shards, reason",
+    [(3, "load_cohort_bypass_faults"), (1, "load_cohort_bypass_lost")],
+)
+def test_cohort_bypass_is_counted_and_leaves_report_unchanged(shards, reason):
+    from repro import obs
+    from repro.load.cohorts import run_load_cohorts
+    from repro.load.report import bench_json
+    from repro.obs.metrics import MetricsRegistry
+
+    plan = faults.matrix_plan("shard_crash", seed=0)
+    with faults.active(plan):
+        untraced = bench_json(run_load_cohorts("routing", 40, shards, 2, 0))
+    registry = MetricsRegistry(interval=10_000_000)
+    plan = faults.matrix_plan("shard_crash", seed=0)
+    with faults.active(plan), obs.tracing(obs.Tracer(metrics=registry)):
+        traced = bench_json(run_load_cohorts("routing", 40, shards, 2, 0))
+    assert registry.total(reason) > 0
+    assert traced == untraced

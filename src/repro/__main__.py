@@ -17,7 +17,7 @@ Usage::
         [--format json|folded|prom] [--out DIR]
     python -m repro load routing    # deterministic open-loop load run
         [--clients N] [--shards S] [--batch K] [--seed N] [--out FILE]
-        [--cohorts]                 # cohort tier: fold repeat dispatches
+        [--cohorts]                 # cohort memo: replay repeat dispatches
         [--regions R] [--ases N]    # two-level shard tree over N ASes
     python -m repro health routing  # metrics + SLO health verdict
         [--seed N] [--clients N] [--shards S] [--batch K]
@@ -29,10 +29,11 @@ against one of the case studies (``routing``, ``tor``, ``middlebox``)
 instances with K-request ecall batching — prints the summary table,
 and writes the machine-readable ``BENCH_load.json``.  Everything is
 clocked by the cost model, so the same seed yields a byte-identical
-report file.  ``--cohorts`` switches to the cohort tier: statistically
-identical clients fold into dispatch-replay cohorts so million-client
-populations finish in minutes with the *byte-identical* report the
-per-client engine would have written.  ``--regions R`` deploys the
+report file.  ``--cohorts`` puts the cohort memo in front of the
+engine's dispatch: statistically identical clients fold into
+dispatch-replay cohorts so million-client populations finish in
+minutes with the *byte-identical* report executing every dispatch
+would have written.  ``--regions R`` deploys the
 routing shards as a two-level tree (region heads relay for members)
 over the ``--ases``-sized generated Internet topology.
 
@@ -130,29 +131,18 @@ def _load(args) -> None:
     batch = args.batch if args.batch is not None else 1
     n_ases = args.ases if args.ases is not None else 24
     if args.cohorts:
-        from repro.load.cohorts import run_load_cohorts
-
-        result = run_load_cohorts(
-            args.scenario,
-            n_clients=clients,
-            n_shards=shards,
-            batch=batch,
-            seed=args.seed,
-            n_ases=n_ases,
-            regions=args.regions,
-        )
+        from repro.load.cohorts import run_load_cohorts as runner
     else:
-        from repro.load.engine import run_load_engine
-
-        result = run_load_engine(
-            args.scenario,
-            n_clients=clients,
-            n_shards=shards,
-            batch=batch,
-            seed=args.seed,
-            n_ases=n_ases,
-            regions=args.regions,
-        )
+        from repro.load.engine import run_load_engine as runner
+    result = runner(
+        args.scenario,
+        n_clients=clients,
+        n_shards=shards,
+        batch=batch,
+        seed=args.seed,
+        n_ases=n_ases,
+        regions=args.regions,
+    )
     text = bench_json(result)
     problems = validate_bench(json.loads(text))
     if problems:  # pragma: no cover — would be a bug in bench_doc itself

@@ -93,8 +93,8 @@ class CtrStream:
         Leaves the stream exactly where ``keystream(n)`` would, but
         computes at most one block: the one the new leftover comes
         from.  A caller that skips owes the model the blocks
-        ``keystream(n)`` would have charged (the cohort tier replays
-        them in its captured burst).
+        ``keystream(n)`` would have charged (the cohort memo replays
+        them in its captured counter deltas).
         """
         if n <= len(self._buffer):
             self._buffer = self._buffer[n:]

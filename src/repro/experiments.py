@@ -809,8 +809,8 @@ def run_load(
     :mod:`repro.load.engine`): with a fixed seed the returned document
     is byte-identical run over run, so CI can diff two consecutive
     invocations.  ``cohorts`` folds statistically identical clients
-    through the dispatch-replay cache (:mod:`repro.load.cohorts`) —
-    pinned byte-identical to the per-client engine — and ``regions``
+    through the dispatch-replay memo (:mod:`repro.load.cohorts`) —
+    pinned byte-identical to executing every dispatch — and ``regions``
     deploys the routing shards as a two-level tree.
     """
     from repro.load.cohorts import run_load_cohorts

@@ -13,11 +13,12 @@ Modules:
 * :mod:`repro.load.shards`  — the enclave-hosted sharded controller
   deployment (consistent-hash partitioning, attested inter-shard
   channels, crash failover);
-* :mod:`repro.load.engine`  — the modeled-cycle queueing engine
-  (per-shard busy clocks, ecall batching, latency percentiles);
-* :mod:`repro.load.cohorts` — the cohort tier: statistically identical
-  clients fold through a dispatch-replay cache, byte-identical to the
-  per-client engine at million-client populations;
+* :mod:`repro.load.engine`  — the one modeled-cycle queueing engine,
+  a streaming fold (per-shard busy clocks, ecall batching, latency
+  percentiles) that keeps aggregates, not per-event records;
+* :mod:`repro.load.cohorts` — the cohort memo: an optional wrapper on
+  a backend's dispatch that replays repeat dispatches, byte-identical
+  to executing them, so million-client populations fold fast;
 * :mod:`repro.load.report`  — the ``BENCH_load.json`` writer/validator.
 """
 

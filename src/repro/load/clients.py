@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.crypto.drbg import Rng
 from repro.errors import ReproError
@@ -24,7 +24,6 @@ __all__ = [
     "generate_events",
     "iter_events",
     "event_log_fingerprint",
-    "streaming_fingerprint",
 ]
 
 
@@ -78,7 +77,7 @@ def iter_events(
     mean_gap: int = 200_000,
 ) -> Iterator[ClientEvent]:
     """Streaming form of :func:`generate_events` — same draws, same
-    events, O(1) memory.  The million-client cohort tier folds this
+    events, O(1) memory.  A million-client ``--cohorts`` run folds this
     stream without ever materializing the log; ``generate_events`` is
     exactly ``list(iter_events(...))``, so the two can never drift.
     """
@@ -128,41 +127,42 @@ _SCENARIO_OPS = {
 
 def event_log_fingerprint(events: Sequence[ClientEvent]) -> str:
     """Stable digest of an event log (what determinism tests compare)."""
-    blob = json.dumps(
-        [event.as_dict() for event in events],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    tap = FingerprintTap(events)
+    for _event in tap:
+        pass
+    return tap.hexdigest()
 
 
 class FingerprintTap:
     """Wrap an event stream, fingerprinting it as it drains.
 
-    Computes :func:`event_log_fingerprint` incrementally — the hash is
-    fed the identical canonical JSON serialization, one event at a
-    time — so the cohort tier's single pass over a million-event
-    generator yields the exact digest a per-client replay of the same
-    configuration reports, without a second generation pass.
+    The digest is sha256 of the log's canonical JSON: a list of objects
+    with sorted keys and no whitespace, as ``json.dumps(..., sort_keys=
+    True, separators=(",", ":"))`` writes it.  Every field but ``op``
+    is an int, so each event's bytes come from one format string and
+    only ``op`` goes through ``json.dumps`` (once per distinct op).
+    One pass over a million-event generator yields the digest a
+    materialized log of the same run has.
     """
 
     def __init__(self, events: Iterable[ClientEvent]) -> None:
         self._events = events
-        self._digest = hashlib.sha256()
-        self._digest.update(b"[")
-        self._first = True
+        self._digest = hashlib.sha256(b"[")
         self._drained = False
 
     def __iter__(self) -> Iterator[ClientEvent]:
+        update = self._digest.update
+        ops: Dict[str, bytes] = {}
+        sep = b""
         for event in self._events:
-            if not self._first:
-                self._digest.update(b",")
-            self._first = False
-            self._digest.update(
-                json.dumps(
-                    event.as_dict(), sort_keys=True, separators=(",", ":")
-                ).encode()
+            op = ops.get(event.op)
+            if op is None:
+                op = ops[event.op] = json.dumps(event.op).encode()
+            update(
+                b'%s{"arrival":%d,"client_id":%d,"key":%d,"op":%s,"seq":%d}'
+                % (sep, event.arrival, event.client_id, event.key, op, event.seq)
             )
+            sep = b","
             yield event
         self._drained = True
 
@@ -174,11 +174,3 @@ class FingerprintTap:
         digest = self._digest.copy()
         digest.update(b"]")
         return digest.hexdigest()
-
-
-def streaming_fingerprint(events: Iterable[ClientEvent]) -> str:
-    """:func:`event_log_fingerprint` of a stream, in O(1) memory."""
-    tap = FingerprintTap(events)
-    for _event in tap:
-        pass
-    return tap.hexdigest()

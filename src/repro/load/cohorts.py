@@ -1,11 +1,13 @@
-"""The cohort tier: million-client load folds without per-client replay.
+"""The cohort memo: million-client load folds without per-client replay.
 
 Statistically identical clients are folded into *cohorts*: once one
 dispatch with a given signature has executed for real, every later
-dispatch with the same signature replays it.  A replay charges the
-cold run's exact per-domain integer counter deltas
-(:meth:`~repro.cost.accountant.CostAccountant.charge_burst` is pinned
-exactly equivalent to the itemized charges), bumps the same shard
+dispatch with the same signature replays it.  :class:`_CohortCache`
+wraps a backend's ``dispatch`` and the one streaming
+:class:`~repro.load.engine.LoadEngine` folds its results like any
+other; ``--cohorts`` (:func:`run_load_cohorts`) is what puts it in
+front of the backend.  A replay moves every accountant by the cold
+run's exact per-domain integer counter deltas, bumps the same shard
 stats and moves the inter-shard channels to where the dispatch would
 have left them — so the report is byte-identical to per-client
 replay, which ``tests/load/test_cohorts.py`` enforces.
@@ -21,10 +23,14 @@ block counts (at most four per base with one query and one reply
 stream; ECB channels draw none).  A later capture of a base that
 consumes different bytes is not memoized.
 
-**Replay.**  A hit charges the captured burst, adds the stat and
-sequence deltas on both endpoints, and moves the four streams past the
+**Replay.**  A hit adds the captured counter, stat and sequence
+deltas on both endpoints, and moves the four streams past the
 consumed bytes with :meth:`~repro.crypto.modes.CtrStream.skip` (at
-most one block computed each, nothing charged).
+most one block computed each, nothing charged).  Under a tracer the
+capture also keeps the slice of the charge log the dispatch appended
+— charges, instants, fields, spans and metric records — and a hit
+re-issues it in order, so every metrics sample, including one that
+falls inside the dispatch, reads what per-client replay reads.
 
 The cache is bypassed while a fault plan can still fire (decisions
 consume plan state; an exhausted plan's ``decide`` is a no-op) and on
@@ -33,25 +39,20 @@ is not memoized is counted by reason: ``load_cohort_bypass_faults``,
 ``load_cohort_bypass_lost`` or ``load_cohort_uncacheable`` (a
 non-``ok`` outcome or a base's traffic changing).
 
-Only the flat routing backend is cached: the middlebox backend seeds
+Only the flat routing backend is memoized: the middlebox backend seeds
 each flow by dispatch index, Tor couples to the global simulation
 clock, and the two-level tree's relay charges depend on head liveness
-— those run through the same streaming fold uncached.
+— those stream through the same engine unmemoized.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro import faults
-from repro.load.clients import ClientEvent, FingerprintTap, iter_events
-from repro.load.engine import (
-    LoadEngine,
-    LoadResult,
-    default_n_events,
-    make_backend,
-)
-from repro.obs.metrics import metric_count, metric_gauge, metric_observe
+from repro.load.clients import iter_events
+from repro.load.engine import LoadEngine, LoadResult, serve_load
+from repro.obs.metrics import metric_count, metric_gauge
 
 __all__ = ["CohortLoadEngine", "run_load_cohorts"]
 
@@ -91,11 +92,15 @@ class _CohortCache:
         #: bytes, recv bytes) its first capture consumed
         self._traffic: Dict[tuple, tuple] = {}
         #: (base, blocks) -> (costs, per-shard per-domain counter
-        #: deltas, per-shard stat deltas, per-event (outcome, payload) row)
+        #: deltas, per-shard stat deltas, per-event (outcome, payload)
+        #: row, the dispatch's charge-log records or ``None``)
         self._entries: Dict[tuple, tuple] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._backend, name)
+        #: The charge log the deployment's accountants append to, when
+        #: a tracer observes them.
+        tracer = next(iter(backend.dep.accountants().values())).tracer
+        self._log: Optional[List[tuple]] = (
+            tracer._log if tracer is not None else None
+        )
 
     def _channels(self) -> List[tuple]:
         """``(session_id, lower endpoint, upper endpoint)`` per live pair."""
@@ -153,6 +158,7 @@ class _CohortCache:
             shard_id: dict(vars(dep.enclaves[shard_id]._program._core.stats))
             for shard_id in dep._live_ids()
         }
+        mark = len(self._log) if self._log is not None else 0
         costs, per_event = self._backend.dispatch(slot, events, index)
         rows = [per_event[ev.seq] for ev in events]
         measured = None
@@ -187,27 +193,26 @@ class _CohortCache:
             }
             if fields:
                 stats_delta[shard_id] = fields
+        records = self._log[mark:] if self._log is not None else None
         self._entries[(base, _blocks(positions, measured))] = (
-            dict(costs), acct_delta, stats_delta, rows
+            dict(costs), acct_delta, stats_delta, rows, records
         )
         return costs, per_event
 
     def _replay(self, events, entry: tuple, channels, traffic):
-        costs, acct_delta, stats_delta, rows = entry
+        costs, acct_delta, stats_delta, rows, records = entry
         dep = self._backend.dep
         accountants = dep.accountants()
-        for shard_id in sorted(acct_delta):
+        # The accountants move by the captured per-domain sums without
+        # logging; under a tracer the captured records stand in for the
+        # charges, in the order the real dispatch made them.
+        for shard_id, domains in acct_delta.items():
             acct = accountants[shard_id]
-            for domain, counter in acct_delta[shard_id].items():
-                with acct.attribute(domain):
-                    acct.charge_burst(
-                        sgx=counter.sgx_instructions,
-                        normal=counter.normal_instructions,
-                        crossings=counter.enclave_crossings,
-                        allocations=counter.allocations,
-                        switchless=counter.switchless_calls,
-                        faults=counter.faults_injected,
-                    )
+            for domain, delta in domains.items():
+                counter = acct.counter(domain)
+                counter += delta
+        if records:
+            self._log.extend(records)
         for shard_id in sorted(stats_delta):
             stats = dep.enclaves[shard_id]._program._core.stats
             for field, delta in stats_delta[shard_id].items():
@@ -233,73 +238,14 @@ class _CohortCache:
 
 
 class CohortLoadEngine(LoadEngine):
-    """The streaming cohort fold: same clocks, aggregate accumulators.
+    """The one :class:`~repro.load.engine.LoadEngine`, under its old name.
 
-    Runs the exact dispatch plan :func:`~repro.load.engine.
-    plan_dispatches` defines (batch-full flushes as events stream in,
-    then leftover slots in sorted order) with the identical busy-clock
-    arithmetic as :class:`~repro.load.engine.LoadEngine._flush`, but
-    accumulates ``latency -> count`` and outcome tallies instead of
-    materializing an :class:`~repro.load.engine.EventRecord` per
-    event — O(distinct latencies) memory for a million-event run.
+    ``bench/`` times ``CohortLoadEngine.run_stream`` by patching the
+    name in this class's own namespace, so the alias stays until the
+    benchmark's span list is updated.  Nothing in ``repro`` uses it.
     """
 
-    def __init__(
-        self, backend, n_slots: int, batch: int, keep_payloads: bool = False
-    ) -> None:
-        super().__init__(backend, n_slots, batch)
-        self.keep_payloads = keep_payloads
-        self.latency_counts: Dict[float, int] = {}
-        self.outcomes: Dict[str, int] = {}
-        self.n_served = 0
-
-    def run_stream(self, events: Iterable[ClientEvent]) -> None:
-        queues: Dict[int, List[ClientEvent]] = {}
-        index = 0
-        for event in events:
-            slot = event.client_id % self.n_slots
-            queue = queues.setdefault(slot, [])
-            queue.append(event)
-            if len(queue) >= self.batch:
-                self._fold(slot, queues.pop(slot), index)
-                index += 1
-        for slot in sorted(queues):
-            self._fold(slot, queues[slot], index)
-            index += 1
-
-    def _fold(
-        self, slot: int, batch_events: List[ClientEvent], index: int
-    ) -> None:
-        start = max(
-            self.busy_until.get(slot, 0.0),
-            float(batch_events[-1].arrival),
-        )
-        costs, per_event = self.backend.dispatch(slot, batch_events, index)
-        completion = start
-        for server, cost in sorted(costs.items()):
-            t = max(self.busy_until.get(server, 0.0), start) + cost
-            self.busy_until[server] = t
-            completion = max(completion, t)
-        self.busy_until[slot] = max(self.busy_until.get(slot, 0.0), completion)
-        metric_gauge(
-            "load_busy_slots",
-            sum(1 for t in self.busy_until.values() if t > start),
-        )
-        for event in batch_events:
-            outcome, payload = per_event[event.seq]
-            metric_count("load_events")
-            if outcome != "ok":
-                metric_count(f"load_events_{outcome}")
-            latency = completion - event.arrival
-            metric_observe("load_latency_cycles", latency)
-            metric_observe("load_queue_wait_cycles", start - event.arrival)
-            if payload is not None and self.keep_payloads:
-                self.payloads[event.seq] = payload
-            self.n_served += 1
-            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-            self.latency_counts[latency] = (
-                self.latency_counts.get(latency, 0) + 1
-            )
+    run_stream = LoadEngine.run
 
 
 def run_load_cohorts(
@@ -313,47 +259,15 @@ def run_load_cohorts(
     keep_payloads: bool = False,
     regions: Optional[int] = None,
 ) -> LoadResult:
-    """Cohort-tier twin of :func:`~repro.load.engine.run_load_engine`.
+    """:func:`~repro.load.engine.run_load_engine` through the cohort memo.
 
-    Same backend, same seeded event stream, same dispatch plan, same
-    busy-clock fold — but events stream through without materializing
-    the log and repeat dispatches replay from the cohort cache.  The
-    returned :class:`LoadResult` carries aggregate fields
-    (``n_served``, ``latency_samples``) instead of per-event records;
-    its ``bench_json`` is byte-identical to the per-client tier's.
+    The arrivals stream through the engine without materializing the
+    log, and the flat routing backend's repeat dispatches replay from
+    :class:`_CohortCache`; the report is byte-identical to the
+    per-client run's.
     """
-    if n_events is None:
-        n_events = default_n_events(scenario, n_clients)
-    backend = make_backend(scenario, n_shards, batch, n_ases, seed, regions)
-    dispatcher = backend
-    if scenario == "routing" and regions is None:
-        dispatcher = _CohortCache(backend)
-    tap = FingerprintTap(
-        iter_events(scenario, n_clients, n_events, backend.keys(), seed)
-    )
-    engine = CohortLoadEngine(
-        dispatcher, n_shards, batch, keep_payloads=keep_payloads
-    )
-    engine.run_stream(tap)
-    makespan = max(
-        [engine.busy_until.get(s, 0.0) for s in engine.busy_until] or [0.0]
-    )
-    return LoadResult(
-        scenario=scenario,
-        n_clients=n_clients,
-        n_shards=n_shards,
-        batch=batch,
-        seed=seed,
-        n_events=n_events,
-        events=[],
-        event_fingerprint=tap.hexdigest(),
-        setup_cycles=backend.setup_cycles,
-        makespan_cycles=makespan,
-        steady_counters=backend.steady_counters(),
-        shard_stats=backend.shard_stats(),
-        outcomes=engine.outcomes,
-        payloads=dict(engine.payloads) if keep_payloads else None,
-        regions=regions,
-        n_served=engine.n_served,
-        latency_samples=sorted(engine.latency_counts.items()),
+    memo = _CohortCache if scenario == "routing" and regions is None else None
+    return serve_load(
+        iter_events, memo, scenario, n_clients, n_shards, batch, seed,
+        n_events, n_ases, keep_payloads, regions,
     )

@@ -17,48 +17,39 @@ The queueing model is open-loop with per-server busy clocks:
 * service starts at max(last arrival in the batch, server busy-until)
   and every shard the dispatch touched advances its busy clock by the
   cycles *it* charged — a cross-shard query occupies both shards.
+
+There is one engine and it streams: :class:`LoadEngine` folds each
+dispatch into busy clocks and aggregates (latency counts, outcome
+tallies, replies on request) and keeps no per-event record, so a
+million-event run needs O(distinct latencies) memory.  The cohort memo
+(:mod:`repro.load.cohorts`) is an optional wrapper around a backend's
+``dispatch``; the fold never knows whether a dispatch ran or replayed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.world import World
 from repro.cost.model import DEFAULT_MODEL, cycles as counter_cycles
 from repro.errors import ReproError, ShardError
 from repro.obs.metrics import metric_count, metric_gauge, metric_observe
-from repro.load.clients import ClientEvent, event_log_fingerprint, generate_events
+from repro.load.clients import ClientEvent, FingerprintTap, generate_events
+from repro.load.report import weighted_percentile
 from repro.load.shards import ShardedRoutingDeployment
 
 __all__ = [
-    "EventRecord",
     "LoadResult",
     "LoadEngine",
     "run_load_engine",
+    "serve_load",
     "make_backend",
     "plan_dispatches",
     "default_n_events",
 ]
-
-
-@dataclasses.dataclass
-class EventRecord:
-    """One served (or failed) request, with its modeled timings."""
-
-    seq: int
-    client_id: int
-    arrival: int
-    op: str
-    key: int
-    slot: int
-    outcome: str             # "ok" | "recovered" | "failed"
-    latency_cycles: float
-    reply_digest: str        # sha256[:16] of the reply payload ("" if none)
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -71,85 +62,40 @@ class LoadResult:
     batch: int
     seed: int
     n_events: int
-    events: List[EventRecord]
     event_fingerprint: str
     setup_cycles: float           # registration + seal (policy phase)
     makespan_cycles: float
     steady_counters: Dict[str, int]
     shard_stats: Dict[int, Dict[str, int]]
     outcomes: Dict[str, int]
+    served: int                   # events through the engine, all outcomes
+    #: sorted ``(latency, count)`` multiset of event latencies
+    latency_samples: List[Tuple[float, int]]
     payloads: Optional[Dict[int, bytes]] = None  # seq -> reply (tests only)
     regions: Optional[int] = None  # two-level tree depth (None = flat)
-    #: Cohort-tier aggregates.  The streaming fold never materializes
-    #: per-event records, so it reports the served count and the sorted
-    #: (latency, count) multiset instead; per-client results leave both
-    #: unset and derive them from ``events``.
-    n_served: Optional[int] = None
-    latency_samples: Optional[List[Tuple[float, int]]] = None
-
-    @property
-    def latencies(self) -> List[float]:
-        return sorted(e.latency_cycles for e in self.events)
-
-    @property
-    def served(self) -> int:
-        """Events that went through the engine (all outcome classes)."""
-        if self.n_served is not None:
-            return self.n_served
-        return len(self.events)
-
-    def weighted_latencies(self) -> List[Tuple[float, int]]:
-        """Sorted ``(latency, count)`` multiset of event latencies."""
-        if self.latency_samples is not None:
-            return list(self.latency_samples)
-        samples: List[Tuple[float, int]] = []
-        for latency in self.latencies:
-            if samples and samples[-1][0] == latency:
-                samples[-1] = (latency, samples[-1][1] + 1)
-            else:
-                samples.append((latency, 1))
-        return samples
 
     def percentile(self, p: float) -> float:
         """Deterministic nearest-rank percentile over event latencies."""
-        samples = self.weighted_latencies()
-        n = sum(count for _latency, count in samples)
-        if n == 0:
-            return 0.0
-        rank = min(max(1, -(-int(p * n) // 100)), n)  # ceil(p*n/100)
-        seen = 0
-        for latency, count in samples:
-            seen += count
-            if seen >= rank:
-                return latency
-        return samples[-1][0]  # pragma: no cover - rank <= n always lands
-
-
-def _digest(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()[:16]
+        return weighted_percentile(self.latency_samples, p)
 
 
 def plan_dispatches(
-    events: Sequence[ClientEvent], n_slots: int, batch: int
-) -> List[Tuple[int, List[ClientEvent]]]:
-    """The dispatch plan: ordered ``(slot, batch_events)`` pairs.
+    events: Iterable[ClientEvent], n_slots: int, batch: int
+) -> Iterator[Tuple[int, List[ClientEvent]]]:
+    """The dispatch plan: ordered ``(slot, batch_events)`` pairs, lazily.
 
-    A pure function of the event log — exactly the flush order
-    :class:`LoadEngine` executes (batch-full flushes as events stream
-    in, then leftover slots in sorted order).  The cohort tier's
-    streaming fold reproduces this order without materializing it.
+    A pure function of the event log: batch-full flushes as events
+    stream in, then leftover slots in sorted order.
     """
-    plan: List[Tuple[int, List[ClientEvent]]] = []
     queues: Dict[int, List[ClientEvent]] = {}
     for event in events:
         slot = event.client_id % n_slots
         queue = queues.setdefault(slot, [])
         queue.append(event)
         if len(queue) >= batch:
-            plan.append((slot, queues.pop(slot)))
+            yield slot, queues.pop(slot)
     for slot in sorted(queues):
-        plan.append((slot, queues[slot]))
-    return plan
+        yield slot, queues[slot]
 
 
 class _RoutingBackend:
@@ -401,9 +347,15 @@ LOAD_SCENARIOS = tuple(sorted(_BACKENDS))
 
 
 class LoadEngine:
-    """Drives one backend through an event log on modeled clocks."""
+    """Folds one backend's dispatches into busy clocks and aggregates.
 
-    def __init__(self, backend, n_slots: int, batch: int) -> None:
+    ``backend`` is anything with a backend's ``dispatch(slot, events,
+    index)``: a scenario backend, or the cohort memo wrapped around one.
+    """
+
+    def __init__(
+        self, backend, n_slots: int, batch: int, keep_payloads: bool = False
+    ) -> None:
         if n_slots < 1:
             raise ReproError("need at least one slot")
         if batch < 1:
@@ -411,17 +363,17 @@ class LoadEngine:
         self.backend = backend
         self.n_slots = n_slots
         self.batch = batch
+        self.keep_payloads = keep_payloads
         self.busy_until: Dict[int, float] = {}
-        self.records: List[EventRecord] = []
+        self.latency_counts: Dict[float, int] = {}
+        self.outcomes: Dict[str, int] = {}
         self.payloads: Dict[int, bytes] = {}
 
-    def run(self, events: Sequence[ClientEvent]) -> List[EventRecord]:
+    def run(self, events: Iterable[ClientEvent]) -> None:
         for index, (slot, batch_events) in enumerate(
             plan_dispatches(events, self.n_slots, self.batch)
         ):
             self._flush(slot, batch_events, index)
-        self.records.sort(key=lambda r: r.seq)
-        return self.records
 
     def _flush(self, slot: int, batch_events: List[ClientEvent], index: int) -> None:
         start = max(
@@ -446,22 +398,14 @@ class LoadEngine:
             metric_count("load_events")
             if outcome != "ok":
                 metric_count(f"load_events_{outcome}")
-            metric_observe("load_latency_cycles", completion - event.arrival)
+            latency = completion - event.arrival
+            metric_observe("load_latency_cycles", latency)
             metric_observe("load_queue_wait_cycles", start - event.arrival)
-            if payload is not None:
+            if payload is not None and self.keep_payloads:
                 self.payloads[event.seq] = payload
-            self.records.append(
-                EventRecord(
-                    seq=event.seq,
-                    client_id=event.client_id,
-                    arrival=event.arrival,
-                    op=event.op,
-                    key=event.key,
-                    slot=slot,
-                    outcome=outcome,
-                    latency_cycles=completion - event.arrival,
-                    reply_digest=_digest(payload) if payload is not None else "",
-                )
+            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+            self.latency_counts[latency] = (
+                self.latency_counts.get(latency, 0) + 1
             )
 
 
@@ -470,47 +414,6 @@ def default_n_events(scenario: str, n_clients: int) -> int:
     # Full-fidelity routing serves cheap lookups; the simulator-
     # backed scenarios pay a whole network round per event.
     return n_clients if scenario == "routing" else min(n_clients, 24)
-
-
-def package_result(
-    scenario: str,
-    n_clients: int,
-    n_shards: int,
-    batch: int,
-    seed: int,
-    n_events: int,
-    events: Sequence[ClientEvent],
-    engine: LoadEngine,
-    setup_cycles: float,
-    steady_counters: Dict[str, int],
-    shard_stats: Dict[int, Dict[str, int]],
-    keep_payloads: bool,
-    regions: Optional[int] = None,
-) -> LoadResult:
-    """Assemble a :class:`LoadResult` from a finished engine run."""
-    outcomes: Dict[str, int] = {}
-    for record in engine.records:
-        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
-    makespan = max(
-        [engine.busy_until.get(s, 0.0) for s in engine.busy_until] or [0.0]
-    )
-    return LoadResult(
-        scenario=scenario,
-        n_clients=n_clients,
-        n_shards=n_shards,
-        batch=batch,
-        seed=seed,
-        n_events=n_events,
-        events=engine.records,
-        event_fingerprint=event_log_fingerprint(events),
-        setup_cycles=setup_cycles,
-        makespan_cycles=makespan,
-        steady_counters=steady_counters,
-        shard_stats=shard_stats,
-        outcomes=outcomes,
-        payloads=dict(engine.payloads) if keep_payloads else None,
-        regions=regions,
-    )
 
 
 def make_backend(
@@ -534,6 +437,58 @@ def make_backend(
     return backend_class(n_shards, batch, n_ases, seed)
 
 
+def serve_load(
+    arrivals: Callable[..., Iterable[ClientEvent]],
+    memo: Optional[Callable],
+    scenario: str,
+    n_clients: int,
+    n_shards: int,
+    batch: int,
+    seed: int,
+    n_events: Optional[int],
+    n_ases: int,
+    keep_payloads: bool,
+    regions: Optional[int],
+) -> LoadResult:
+    """Build a backend, serve the seeded arrivals, package the result.
+
+    ``arrivals`` is :func:`~repro.load.clients.generate_events` or
+    :func:`~repro.load.clients.iter_events` (same signature, same
+    events); ``memo``, if given, wraps the backend's ``dispatch``.
+    """
+    if n_events is None:
+        n_events = default_n_events(scenario, n_clients)
+    backend = make_backend(scenario, n_shards, batch, n_ases, seed, regions)
+    tap = FingerprintTap(
+        arrivals(scenario, n_clients, n_events, backend.keys(), seed)
+    )
+    engine = LoadEngine(
+        memo(backend) if memo is not None else backend,
+        n_shards,
+        batch,
+        keep_payloads,
+    )
+    engine.run(tap)
+    return LoadResult(
+        scenario=scenario,
+        n_clients=n_clients,
+        n_shards=n_shards,
+        batch=batch,
+        seed=seed,
+        n_events=n_events,
+        event_fingerprint=tap.hexdigest(),
+        setup_cycles=backend.setup_cycles,
+        makespan_cycles=max(engine.busy_until.values(), default=0.0),
+        steady_counters=backend.steady_counters(),
+        shard_stats=backend.shard_stats(),
+        outcomes=engine.outcomes,
+        served=sum(engine.outcomes.values()),
+        latency_samples=sorted(engine.latency_counts.items()),
+        payloads=engine.payloads if keep_payloads else None,
+        regions=regions,
+    )
+
+
 def run_load_engine(
     scenario: str,
     n_clients: int,
@@ -545,27 +500,12 @@ def run_load_engine(
     keep_payloads: bool = False,
     regions: Optional[int] = None,
 ) -> LoadResult:
-    """Build a backend, generate the event log, run it, package results."""
-    if n_events is None:
-        n_events = default_n_events(scenario, n_clients)
-    backend = make_backend(scenario, n_shards, batch, n_ases, seed, regions)
-    events = generate_events(
-        scenario, n_clients, n_events, backend.keys(), seed
-    )
-    engine = LoadEngine(backend, n_shards, batch)
-    engine.run(events)
-    return package_result(
-        scenario,
-        n_clients,
-        n_shards,
-        batch,
-        seed,
-        n_events,
-        events,
-        engine,
-        backend.setup_cycles,
-        backend.steady_counters(),
-        backend.shard_stats(),
-        keep_payloads,
-        regions,
+    """One load run where every dispatch executes for real.
+
+    The whole arrival schedule is drawn before the engine starts, so a
+    caller timing the run can tell set-up from serving.
+    """
+    return serve_load(
+        generate_events, None, scenario, n_clients, n_shards, batch, seed,
+        n_events, n_ases, keep_payloads, regions,
     )

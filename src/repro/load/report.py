@@ -9,10 +9,12 @@ job diffs two consecutive runs).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.load.engine import LoadResult
+
+if TYPE_CHECKING:
+    from repro.load.engine import LoadResult
 
 __all__ = [
     "SCHEMA",
@@ -49,9 +51,9 @@ def weighted_mean(samples: Sequence[Tuple[float, int]]) -> float:
 
     Float addition is not associative, so the accumulation walks the
     *expanded* multiset in sorted order — the exact add sequence
-    ``sum(sorted_latencies)`` performs on a per-client result.  That
-    makes a cohort-weighted report bit-identical to its per-client
-    oracle, not merely close (the equivalence suite compares bytes).
+    ``sum(sorted(latencies))`` performs over one latency per event.
+    The report's mean is therefore bit-identical to that oracle, not
+    merely close (report bytes are pinned and compared).
     """
     total = 0.0
     n = 0
@@ -84,7 +86,7 @@ def weighted_percentile(samples: Sequence[Tuple[float, int]], p: float) -> float
 
 def bench_doc(result: LoadResult) -> dict:
     """Shape a :class:`LoadResult` into the BENCH_load.json document."""
-    samples = result.weighted_latencies()
+    samples = result.latency_samples
     served = result.served
     crossings = result.steady_counters.get("enclave_crossings", 0)
     makespan = result.makespan_cycles

@@ -25,9 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cost.accountant import CostAccountant
-from repro.load.clients import generate_events, streaming_fingerprint
-from repro.load.cohorts import CohortLoadEngine, _CohortCache, run_load_cohorts
+from repro.load.clients import FingerprintTap, generate_events
+from repro.load.cohorts import _CohortCache, run_load_cohorts
 from repro.load.engine import (
     LoadEngine,
     make_backend,
@@ -35,6 +34,7 @@ from repro.load.engine import (
     run_load_engine,
 )
 from repro.load.report import bench_json, validate_bench
+from repro.obs.slo import export_health_timeseries, run_health
 
 EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
 FAILURE_DIR = (
@@ -176,9 +176,10 @@ def _channel_state(dep) -> dict:
 
 
 class TestLockstep:
-    """Dispatch-granular equivalence: counters, channel sequence numbers
-    and keystream positions match after *every* step, so a cache bug
-    cannot hide behind later compensating errors."""
+    """Dispatch-granular equivalence: one engine steps through the memo
+    and one without it; counters, channel sequence numbers, keystream
+    positions and the fold's clocks and aggregates match after *every*
+    step, so a cache bug cannot hide behind later compensating errors."""
 
     @staticmethod
     def _walk(clients, n_events, shards, batch) -> float:
@@ -196,12 +197,12 @@ class TestLockstep:
         coh.dispatch = counting_dispatch
         cached = _CohortCache(coh)
         events = generate_events(scenario, clients, n_events, ref.keys(), seed)
-        plan = plan_dispatches(events, shards, batch)
-        ref_engine = LoadEngine(ref, shards, batch)
-        coh_engine = CohortLoadEngine(cached, shards, batch)
+        plan = list(plan_dispatches(events, shards, batch))
+        ref_engine = LoadEngine(ref, shards, batch, keep_payloads=True)
+        coh_engine = LoadEngine(cached, shards, batch, keep_payloads=True)
         for index, (slot, batch_events) in enumerate(plan):
             ref_engine._flush(slot, list(batch_events), index)
-            coh_engine._fold(slot, list(batch_events), index)
+            coh_engine._flush(slot, list(batch_events), index)
             ref_counters = {
                 sid: {d: c.as_dict() for d, c in acct.snapshot().items()}
                 for sid, acct in ref.dep.accountants().items()
@@ -215,6 +216,9 @@ class TestLockstep:
                 f"channel state diverged at dispatch {index}"
             )
             assert ref_engine.busy_until == coh_engine.busy_until
+            assert ref_engine.latency_counts == coh_engine.latency_counts
+            assert ref_engine.outcomes == coh_engine.outcomes
+            assert ref_engine.payloads == coh_engine.payloads
         assert len(cached._entries) > 0  # the cache actually engaged
         return 1 - len(executed) / len(plan)
 
@@ -235,19 +239,19 @@ class TestAggregateResult:
     def test_no_materialized_events_but_same_fingerprint(self):
         cohort = run_load_cohorts("routing", 30, 2, 4, 0)
         client = run_load_engine("routing", 30, 2, 4, 0)
-        assert cohort.events == []
+        assert not hasattr(cohort, "events")
         assert cohort.event_fingerprint == client.event_fingerprint
         assert cohort.served == client.served == 30
-        assert cohort.weighted_latencies() == client.weighted_latencies()
+        assert cohort.latency_samples == client.latency_samples
 
     def test_streaming_fingerprint_matches_materialized(self):
         from repro.load.clients import event_log_fingerprint, iter_events
 
         keys = make_backend("routing", 1, 1, 24, 7).keys()
         events = generate_events("routing", 20, 20, keys, 7)
-        assert streaming_fingerprint(
-            iter_events("routing", 20, 20, keys, 7)
-        ) == event_log_fingerprint(events)
+        tap = FingerprintTap(iter_events("routing", 20, 20, keys, 7))
+        assert list(tap) == events
+        assert tap.hexdigest() == event_log_fingerprint(events)
 
     def test_cache_hits_counted(self):
         from repro import obs
@@ -273,3 +277,28 @@ class TestAggregateResult:
         dispatches = misses + registry.total("load_cohort_hits")
         assert dispatches == 2000
         assert misses <= 0.10 * dispatches
+
+
+def _without_cohort_families(text: str) -> str:
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if "load_cohort_" not in line
+    )
+
+
+class TestObservedReplay:
+    """A replayed dispatch re-issues the charge-log records the real one
+    appended, in order: a metrics sample that falls inside a dispatch,
+    and every ``record*`` family the channels count, read the same with
+    and without the memo."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_health_export_matches_per_client(self, batch, seed):
+        client = run_health("routing", seed=seed, batch=batch)
+        cohort = run_health("routing", seed=seed, batch=batch, cohorts=True)
+        if batch == 1:
+            assert cohort.registry.total("load_cohort_hits") > 0
+        assert _without_cohort_families(
+            export_health_timeseries(cohort)
+        ) == _without_cohort_families(export_health_timeseries(client))

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.crypto import rsa
 from repro.errors import ReproError
-from repro.load.clients import event_log_fingerprint, generate_events
+from repro.load.clients import (
+    ClientEvent,
+    FingerprintTap,
+    event_log_fingerprint,
+    generate_events,
+)
 from repro.load.cohorts import run_load_cohorts
 from repro.load.engine import (
     LOAD_SCENARIOS,
@@ -27,6 +32,23 @@ from repro.routing.controller import InterDomainController
 from repro.routing.deployment import build_policies
 from repro.routing.messages import encode_routes_msg
 from repro.sgx.quoting import AttestationAuthority
+from tests.oracles import event_fingerprint as oracle
+
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+#: Ops that need JSON escaping (quotes, backslashes, control and
+#: non-ASCII characters, a lone surrogate) besides arbitrary text.
+_ops = st.one_of(
+    st.sampled_from(
+        ["route_request", '"', "\\", "\n\t\x00", "é", "\u2028", "\ud800"]
+    ),
+    st.text(max_size=12),
+)
+_event_logs = st.lists(
+    st.builds(
+        ClientEvent, seq=_ints, client_id=_ints, arrival=_ints, op=_ops, key=_ints
+    ),
+    max_size=30,
+)
 
 
 class TestEventGeneration:
@@ -48,6 +70,20 @@ class TestEventGeneration:
             assert list(event.as_dict().items()) == list(
                 dataclasses.asdict(event).items()
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=_event_logs)
+    def test_fingerprint_matches_json_oracle(self, events):
+        expected = oracle.event_log_fingerprint(events)
+        assert event_log_fingerprint(events) == expected
+        tap = FingerprintTap(iter(events))
+        assert list(tap) == events
+        assert tap.hexdigest() == expected
+
+    def test_fingerprint_needs_a_drained_stream(self):
+        tap = FingerprintTap(generate_events("routing", 3, 5, [1, 2], seed=4))
+        with pytest.raises(ReproError):
+            tap.hexdigest()
 
     def test_different_seeds_differ(self):
         keys = list(range(1, 20))
@@ -88,7 +124,7 @@ class TestDeterminism:
         events = generate_events(
             "routing", 50, default_n_events("routing", 50), keys, 0
         )
-        plan = plan_dispatches(events, n_slots=3, batch=4)
+        plan = list(plan_dispatches(events, n_slots=3, batch=4))
         dispatched = [e for _, batch_events in plan for e in batch_events]
         assert sorted(id(e) for e in dispatched) == sorted(id(e) for e in events)
         assert all(len(batch_events) <= 4 for _, batch_events in plan)
@@ -145,19 +181,21 @@ class TestEquivalence:
             "routing", n_clients=12, n_shards=2, batch=4, seed=1,
             n_events=16, keep_payloads=True,
         )
-        _topology, policies = build_policies(24, b"load-routing-1")
+        assert result.outcomes == {"ok": 16}
+        topology, policies = build_policies(24, b"load-routing-1")
         reference = InterDomainController()
         for policy in policies.values():
             reference.submit_policy(policy)
         reference.compute_routes()
 
-        checked = 0
-        for record in result.events:
-            assert record.outcome == "ok"
-            payload = result.payloads[record.seq]
-            assert payload == encode_routes_msg(reference.routes_for(record.key))
-            checked += 1
-        assert checked == 16
+        # The result keeps replies by seq; each event's key comes from
+        # the regenerated arrival log.
+        events = generate_events("routing", 12, 16, sorted(topology.asns), 1)
+        assert sorted(result.payloads) == [event.seq for event in events]
+        for event in events:
+            assert result.payloads[event.seq] == encode_routes_msg(
+                reference.routes_for(event.key)
+            )
 
     def test_reconcile_exact_on_traced_run(self):
         """S=1/K=1 under the tracer reconciles integer-for-integer
@@ -202,9 +240,9 @@ class TestScenarios:
 #: sha256 of bench_json for small runs.  The tor and middlebox bytes
 #: depend on every DH, Schnorr and RSA result along the way, so a
 #: change to the public-key arithmetic that alters any value fails here.
-#: The routing bytes cover each event's reply_digest (the encoded route
-#: reply) and, through the AES block counts, every record length sent
-#: over the inter-shard channels.
+#: The routing bytes cover, through the AES block counts, every record
+#: length sent over the inter-shard channels, encoded route replies
+#: included.
 PINNED_BENCH_DIGESTS = {
     ("tor", 0): "dbed765921f742aa85c1ca00072fe3ee723057274ce15f5643da6e84afa1ebe6",
     ("tor", 1): "7394384a60f4b11848a5fce3d1da2323ca6c635cdc55680f1bf87799ffc9e7ff",

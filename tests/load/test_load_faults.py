@@ -10,7 +10,9 @@ event ends in exactly one of ``ok``/``recovered``/``failed``.
 import pytest
 
 from repro import faults
+from repro.load.clients import generate_events
 from repro.load.engine import run_load_engine
+from repro.load.report import bench_json
 from repro.load.report import validate_bench, bench_doc
 from repro.routing.controller import InterDomainController
 from repro.routing.deployment import build_policies
@@ -37,7 +39,7 @@ class TestShardCrashFailover:
     def test_no_request_silently_lost(self, seed):
         result, plan = _run_with_crash(seed)
         assert plan.log.events, "the plan never fired — test proves nothing"
-        assert sum(result.outcomes.values()) == len(result.events) == 60
+        assert sum(result.outcomes.values()) == result.served == 60
         assert set(result.outcomes) <= {"ok", "recovered", "failed"}
         # Two shards: the survivor adopts, so nothing may hard-fail.
         assert "failed" not in result.outcomes
@@ -53,14 +55,18 @@ class TestShardCrashFailover:
 
         # Served answers — including post-failover ones — still match
         # the unsharded controller byte for byte.
-        _topology, policies = build_policies(24, b"load-routing-%d" % seed)
+        topology, policies = build_policies(24, b"load-routing-%d" % seed)
         reference = InterDomainController()
         for policy in policies.values():
             reference.submit_policy(policy)
         reference.compute_routes()
-        for record in result.events:
-            payload = result.payloads[record.seq]
-            assert payload == encode_routes_msg(reference.routes_for(record.key))
+        # Nothing failed, so every event has a reply; its key comes
+        # from the regenerated arrival log.
+        events = generate_events("routing", 20, 60, sorted(topology.asns), seed)
+        assert sorted(result.payloads) == [event.seq for event in events]
+        for event in events:
+            payload = result.payloads[event.seq]
+            assert payload == encode_routes_msg(reference.routes_for(event.key))
 
     def test_crash_report_still_validates(self):
         result, _plan = _run_with_crash(0)
@@ -71,19 +77,17 @@ class TestShardCrashFailover:
         reported as failed — never dropped, never fabricated."""
         result, plan = _run_with_crash(0, n_shards=1, n_events=40)
         assert plan.log.events
-        assert sum(result.outcomes.values()) == len(result.events) == 40
+        assert sum(result.outcomes.values()) == result.served == 40
         assert result.outcomes.get("failed", 0) >= 1
-        for record in result.events:
-            if record.outcome == "failed":
-                assert record.reply_digest == ""
+        # Every event that did not fail has its reply; no failed one does.
+        assert len(result.payloads) == 40 - result.outcomes["failed"]
 
     def test_plan_is_deterministic(self):
         first, _ = _run_with_crash(0)
         second, _ = _run_with_crash(0)
         assert first.outcomes == second.outcomes
-        assert [r.outcome for r in first.events] == [
-            r.outcome for r in second.events
-        ]
+        assert first.payloads == second.payloads
+        assert bench_json(first) == bench_json(second)
 
 
 class TestMatrixIntegration:

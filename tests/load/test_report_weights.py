@@ -78,9 +78,23 @@ class TestWeightedOracle:
 
 class TestEngineIntegration:
     def test_load_result_percentiles_match_both_paths(self):
+        from repro import obs
+        from repro.load.cohorts import run_load_cohorts
         from repro.load.engine import run_load_engine
+        from repro.obs.tracer import OBSERVE
 
-        result = run_load_engine("routing", 30, 2, 4, 0)
-        expanded = sorted(r.latency_cycles for r in result.events)
+        # The engine keeps no per-event record; each event's latency is
+        # read back from its load_latency_cycles observation.
+        tracer = obs.Tracer(metrics=obs.MetricsRegistry())
+        with obs.tracing(tracer):
+            result = run_load_engine("routing", 30, 2, 4, 0)
+        expanded = sorted(
+            rec[2]
+            for rec in tracer._log
+            if rec[0] == OBSERVE and rec[1] == "load_latency_cycles"
+        )
+        assert len(expanded) == result.served == 30
+        cohort = run_load_cohorts("routing", 30, 2, 4, 0)
         for p in (50, 90, 99):
             assert result.percentile(p) == _oracle_percentile(expanded, p)
+            assert cohort.percentile(p) == result.percentile(p)

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional
 
 from repro import faults
 from repro.load.clients import iter_events
-from repro.load.engine import LoadEngine, LoadResult, serve_load
+from repro.load.engine import LoadEngine, LoadResult, _serve_load
 from repro.obs.metrics import metric_count, metric_gauge
 
 __all__ = ["CohortLoadEngine", "run_load_cohorts"]
@@ -95,12 +95,8 @@ class _CohortCache:
         #: deltas, per-shard stat deltas, per-event (outcome, payload)
         #: row, the dispatch's charge-log records or ``None``)
         self._entries: Dict[tuple, tuple] = {}
-        #: The charge log the deployment's accountants append to, when
-        #: a tracer observes them.
-        tracer = next(iter(backend.dep.accountants().values())).tracer
-        self._log: Optional[List[tuple]] = (
-            tracer._log if tracer is not None else None
-        )
+        #: The tracer observing the deployment's accountants, if any.
+        self._tracer = next(iter(backend.dep.accountants().values())).tracer
 
     def _channels(self) -> List[tuple]:
         """``(session_id, lower endpoint, upper endpoint)`` per live pair."""
@@ -158,7 +154,7 @@ class _CohortCache:
             shard_id: dict(vars(dep.enclaves[shard_id]._program._core.stats))
             for shard_id in dep._live_ids()
         }
-        mark = len(self._log) if self._log is not None else 0
+        mark = self._tracer.mark() if self._tracer is not None else 0
         costs, per_event = self._backend.dispatch(slot, events, index)
         rows = [per_event[ev.seq] for ev in events]
         measured = None
@@ -193,7 +189,9 @@ class _CohortCache:
             }
             if fields:
                 stats_delta[shard_id] = fields
-        records = self._log[mark:] if self._log is not None else None
+        records = (
+            self._tracer.records(mark) if self._tracer is not None else None
+        )
         self._entries[(base, _blocks(positions, measured))] = (
             dict(costs), acct_delta, stats_delta, rows, records
         )
@@ -212,7 +210,7 @@ class _CohortCache:
                 counter = acct.counter(domain)
                 counter += delta
         if records:
-            self._log.extend(records)
+            self._tracer.reissue(records)
         for shard_id in sorted(stats_delta):
             stats = dep.enclaves[shard_id]._program._core.stats
             for field, delta in stats_delta[shard_id].items():
@@ -267,7 +265,7 @@ def run_load_cohorts(
     per-client run's.
     """
     memo = _CohortCache if scenario == "routing" and regions is None else None
-    return serve_load(
+    return _serve_load(
         iter_events, memo, scenario, n_clients, n_shards, batch, seed,
         n_events, n_ases, keep_payloads, regions,
     )

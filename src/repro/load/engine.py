@@ -45,7 +45,6 @@ __all__ = [
     "LoadResult",
     "LoadEngine",
     "run_load_engine",
-    "serve_load",
     "make_backend",
     "plan_dispatches",
     "default_n_events",
@@ -68,11 +67,15 @@ class LoadResult:
     steady_counters: Dict[str, int]
     shard_stats: Dict[int, Dict[str, int]]
     outcomes: Dict[str, int]
-    served: int                   # events through the engine, all outcomes
     #: sorted ``(latency, count)`` multiset of event latencies
     latency_samples: List[Tuple[float, int]]
     payloads: Optional[Dict[int, bytes]] = None  # seq -> reply (tests only)
     regions: Optional[int] = None  # two-level tree depth (None = flat)
+
+    @property
+    def served(self) -> int:
+        """Events through the engine, all outcomes."""
+        return sum(self.outcomes.values())
 
     def percentile(self, p: float) -> float:
         """Deterministic nearest-rank percentile over event latencies."""
@@ -437,7 +440,7 @@ def make_backend(
     return backend_class(n_shards, batch, n_ases, seed)
 
 
-def serve_load(
+def _serve_load(
     arrivals: Callable[..., Iterable[ClientEvent]],
     memo: Optional[Callable],
     scenario: str,
@@ -482,7 +485,6 @@ def serve_load(
         steady_counters=backend.steady_counters(),
         shard_stats=backend.shard_stats(),
         outcomes=engine.outcomes,
-        served=sum(engine.outcomes.values()),
         latency_samples=sorted(engine.latency_counts.items()),
         payloads=engine.payloads if keep_payloads else None,
         regions=regions,
@@ -505,7 +507,7 @@ def run_load_engine(
     The whole arrival schedule is drawn before the engine starts, so a
     caller timing the run can tell set-up from serving.
     """
-    return serve_load(
+    return _serve_load(
         generate_events, None, scenario, n_clients, n_shards, batch, seed,
         n_events, n_ases, keep_payloads, regions,
     )

@@ -168,6 +168,8 @@ class Tracer:
         #: equal to the caches' own eviction/reload counters.
         self.epcs: List[Any] = []
         self._source_counts: Dict[str, int] = {}
+        #: The one charge log; :meth:`reissue` states why a slice of it
+        #: may be appended again.
         self._log: List[tuple] = metrics._log if metrics is not None else []
         self._folded = 0  # the views hold the log up to here
         self._spans: List[Span] = []
@@ -327,6 +329,27 @@ class Tracer:
         marks the span ``error``.
         """
         return _SpanScope(self._log, (OPEN, name, kind, domain, source))
+
+    # -- the log as data ---------------------------------------------------
+
+    def mark(self) -> int:
+        """The log's current length: a position :meth:`records` reads from."""
+        return len(self._log)
+
+    def records(self, since: int = 0) -> List[tuple]:
+        """The records logged from position ``since`` on, in order."""
+        return self._log[since:]
+
+    def reissue(self, records: List[tuple]) -> None:
+        """Log ``records`` again, as if the code that logged them re-ran.
+
+        No record holds an absolute clock (charges carry instruction
+        counts, spans and samples are stamped when folded), so a slice
+        with balanced spans and no ``CLOCK``/``FINAL`` record reads the
+        same in every view wherever it lands.  The accountants are not
+        moved: a caller replaying charges adds them to the counters too.
+        """
+        self._log.extend(records)
 
 
 #: Shared no-op context manager returned when tracing is off.  One

@@ -34,6 +34,7 @@ from repro.load.engine import (
     run_load_engine,
 )
 from repro.load.report import bench_json, validate_bench
+from repro.obs.export import folded_stacks, trace_event_json
 from repro.obs.slo import export_health_timeseries, run_health
 
 EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
@@ -289,8 +290,8 @@ def _without_cohort_families(text: str) -> str:
 class TestObservedReplay:
     """A replayed dispatch re-issues the charge-log records the real one
     appended, in order: a metrics sample that falls inside a dispatch,
-    and every ``record*`` family the channels count, read the same with
-    and without the memo."""
+    every ``record*`` family the channels count, and every span and
+    instant of the trace read the same with and without the memo."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("batch", [1, 8])
@@ -302,3 +303,5 @@ class TestObservedReplay:
         assert _without_cohort_families(
             export_health_timeseries(cohort)
         ) == _without_cohort_families(export_health_timeseries(client))
+        assert trace_event_json(cohort.tracer) == trace_event_json(client.tracer)
+        assert folded_stacks(cohort.tracer) == folded_stacks(client.tracer)

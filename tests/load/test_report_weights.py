@@ -90,7 +90,7 @@ class TestEngineIntegration:
             result = run_load_engine("routing", 30, 2, 4, 0)
         expanded = sorted(
             rec[2]
-            for rec in tracer._log
+            for rec in tracer.records()
             if rec[0] == OBSERVE and rec[1] == "load_latency_cycles"
         )
         assert len(expanded) == result.served == 30

@@ -22,6 +22,7 @@ Usage::
     python -m repro health routing  # metrics + SLO health verdict
         [--seed N] [--clients N] [--shards S] [--batch K]
         [--interval CYCLES] [--fault CLASS] [--out DIR]
+    python -m repro check load routing ...  # any command, run twice
 
 ``load`` drives the seeded open-loop workload engine (``repro.load``)
 against one of the case studies (``routing``, ``tor``, ``middlebox``)
@@ -40,8 +41,9 @@ over the ``--ases``-sized generated Internet topology.
 ``trace`` runs one scenario with the span tracer attached, asserts the
 trace reconciles exactly against the cost accountants, and writes the
 export: Chrome/Perfetto ``trace_event`` JSON (open in
-https://ui.perfetto.dev or chrome://tracing), folded stacks for
-flamegraph tooling, or Prometheus-style metrics text.
+https://ui.perfetto.dev or chrome://tracing; its shape is validated
+before it is written), folded stacks for flamegraph tooling, or
+Prometheus-style metrics text.
 
 ``health`` runs one load scenario with the deterministic metrics
 registry sampling alongside the tracer, reconciles the series exactly,
@@ -56,6 +58,14 @@ switchless, rings) on a paging-enabled platform with ``--frames`` EPC
 frames, prints the sweep table and writes the byte-stable
 ``BENCH_epcstress.json`` (everything modeled — two runs diff clean).
 
+``check`` runs any other command twice in one process, each run in its
+own scratch directory, and exits nonzero naming every file (or stdout)
+the two runs wrote differently; on success it keeps the first run's
+files.  ``load`` and ``epcstress`` validate their reports and ``trace``
+and ``health`` reconcile, so ``check`` adds only the byte comparison.
+Each flag applies only to the commands that read it; anywhere else it
+is a usage error.
+
 Ablations and the full statistical harness live under ``benchmarks/``
 (``pytest benchmarks/ --benchmark-only -s``); this CLI is the quick,
 dependency-free way to see the reproduction next to the paper's
@@ -67,80 +77,113 @@ wall-clock speed is measured end to end and per layer by ``bench/``
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import os
 import sys
+import tempfile
 import time
 
 from repro import experiments
 
-SCENARIOS = (
-    "table1", "table2", "table3", "table4", "figure3", "switchless", "rings",
-    "faults",
-)
+#: scenario -> (run(args, tracer), format(result)): a plain run prints
+#: the formatted result, ``trace`` runs the same call under a tracer.
+SCENARIOS = {
+    "table1": (
+        lambda a, t: experiments.run_table1(trace=t), experiments.format_table1
+    ),
+    "table2": (
+        lambda a, t: experiments.run_table2(trace=t), experiments.format_table2
+    ),
+    "table3": (
+        lambda a, t: experiments.run_table3(trace=t), experiments.format_table3
+    ),
+    "table4": (
+        lambda a, t: experiments.run_table4(n_ases=_given(a.ases, 30), trace=t),
+        lambda result: experiments.format_table4(*result),
+    ),
+    "figure3": (
+        lambda a, t: experiments.run_figure3(trace=t), experiments.format_figure3
+    ),
+    "switchless": (
+        lambda a, t: experiments.run_switchless_ablation(trace=t),
+        experiments.format_switchless_ablation,
+    ),
+    "rings": (
+        lambda a, t: experiments.run_rings_ablation(trace=t),
+        experiments.format_rings_ablation,
+    ),
+    "faults": (
+        lambda a, t: experiments.run_fault_matrix(seed=_given(a.seed, 0), trace=t),
+        experiments.format_fault_matrix,
+    ),
+}
 
 #: export format -> file extension for --out
 _TRACE_EXT = {"json": "json", "folded": "folded", "prom": "prom"}
 
+_LOAD = ("load", "health")
+#: --flag -> (the commands that read it, argparse keywords, help); given
+#: to any other command, the flag is a usage error.  Every default is
+#: None, so a flag given as 0 still counts as given.
+_FLAGS = {
+    "clients": (_LOAD, {"type": int}, "open-loop client population "
+                "(default: 1000 for load, the SLO shape for health)"),
+    "shards": (_LOAD, {"type": int}, "routing controller shards "
+               "(default: 1 for load, 2 for health)"),
+    "batch": (_LOAD, {"type": int}, "requests amortized per enclave "
+              "crossing (default: 1 for load, 8 for health)"),
+    "cohorts": (_LOAD, {"action": "store_true", "default": None},
+                "replay repeat dispatches from the cohort memo "
+                "(byte-identical report)"),
+    "regions": (("load",), {"type": int}, "deploy the routing shards as a "
+                "two-level tree with R regions (default: flat)"),
+    "smoke": (("epcstress",), {"action": "store_true", "default": None},
+              "small problem sizes suitable for CI"),
+    "frames": (("epcstress",), {"type": int},
+               "EPC frames on the stress platform (default: 512)"),
+    "layout": (("epcstress",), {"choices": ("hot-first", "insertion")},
+               "automaton row layout in EPC pages (default: hot-first)"),
+    "interval": (("health",), {"type": int},
+                 "metrics sample interval in modeled cycles (default: 10M)"),
+    "fault": (("health",), {}, "activate one repro.faults class for the run "
+              "(shard_crash is the deliberate SLO-breach lever)"),
+    "top": (("trace",), {"type": int},
+            "cost sites to print in the summary (default: 5)"),
+    "format": (("trace",), {"choices": sorted(_TRACE_EXT)},
+               "export format (default: json, Chrome/Perfetto trace_event)"),
+    "ases": (("table4", "all", "trace", "load"), {"type": int},
+             "AS count: the table4 topology (default: 30, as in the paper) "
+             "or the routing load population (default: 24)"),
+    "seed": (("faults", "all", "trace") + _LOAD + ("epcstress",),
+             {"type": int}, "seed (default: 0)"),
+    "out": (("trace", "health", "load", "epcstress"), {}, "directory for "
+            "the trace or metrics export, or the load or epcstress report"),
+}
 
-def _table1() -> None:
-    print(experiments.format_table1(experiments.run_table1()))
 
-
-def _table2() -> None:
-    print(experiments.format_table2(experiments.run_table2()))
-
-
-def _table3() -> None:
-    print(experiments.format_table3(experiments.run_table3()))
-
-
-def _table4(n_ases: int) -> None:
-    sgx, native = experiments.run_table4(n_ases=n_ases)
-    print(experiments.format_table4(sgx, native))
-
-
-def _figure3() -> None:
-    print(experiments.format_figure3(experiments.run_figure3()))
-
-
-def _switchless() -> None:
-    print(
-        experiments.format_switchless_ablation(
-            experiments.run_switchless_ablation()
-        )
-    )
-
-
-def _rings() -> None:
-    print(experiments.format_rings_ablation(experiments.run_rings_ablation()))
-
-
-def _faults(seed: int) -> None:
-    print(experiments.format_fault_matrix(experiments.run_fault_matrix(seed=seed)))
+def _given(value, default):
+    """A flag's value, or its default when the flag was not passed."""
+    return default if value is None else value
 
 
 def _load(args) -> None:
     """Run the load engine and write BENCH_load.json."""
-    import json
-
     from repro.errors import ReproError
     from repro.load.report import bench_json, validate_bench
 
-    clients = args.clients if args.clients is not None else 1000
-    shards = args.shards if args.shards is not None else 1
-    batch = args.batch if args.batch is not None else 1
-    n_ases = args.ases if args.ases is not None else 24
     if args.cohorts:
         from repro.load.cohorts import run_load_cohorts as runner
     else:
         from repro.load.engine import run_load_engine as runner
     result = runner(
         args.scenario,
-        n_clients=clients,
-        n_shards=shards,
-        batch=batch,
-        seed=args.seed,
-        n_ases=n_ases,
+        n_clients=_given(args.clients, 1000),
+        n_shards=_given(args.shards, 1),
+        batch=_given(args.batch, 1),
+        seed=_given(args.seed, 0),
+        n_ases=_given(args.ases, 24),
         regions=args.regions,
     )
     text = bench_json(result)
@@ -149,8 +192,7 @@ def _load(args) -> None:
         raise ReproError(
             "generated report fails its own schema: " + "; ".join(problems)
         )
-    doc = json.loads(text)
-    print(experiments.format_load(doc))
+    print(experiments.format_load(json.loads(text)))
     out = args.out or "BENCH_load.json"
     with open(out, "w") as fh:
         fh.write(text)
@@ -163,13 +205,10 @@ def _epcstress(args) -> None:
     from repro.sgx import epcstress
 
     doc = epcstress.run_epcstress(
-        seed=args.seed,
-        smoke=args.smoke,
-        frames=(
-            args.frames if args.frames is not None
-            else epcstress.DEFAULT_FRAMES
-        ),
-        layout=args.layout,
+        seed=_given(args.seed, 0),
+        smoke=bool(args.smoke),
+        frames=_given(args.frames, epcstress.DEFAULT_FRAMES),
+        layout=_given(args.layout, "hot-first"),
     )
     problems = epcstress.validate_epcstress(doc)
     if problems:
@@ -186,6 +225,7 @@ def _epcstress(args) -> None:
 def _health(args) -> None:
     """Run the metrics + SLO health check; raise on any breach."""
     from repro.errors import ReproError
+    from repro.obs.metrics import DEFAULT_SAMPLE_INTERVAL
     from repro.obs.slo import (
         export_health_timeseries,
         format_health_report,
@@ -194,13 +234,13 @@ def _health(args) -> None:
 
     report = run_health(
         args.scenario,
-        seed=args.seed,
+        seed=_given(args.seed, 0),
         clients=args.clients,
-        shards=args.shards if args.shards is not None else 2,
-        batch=args.batch if args.batch is not None else 8,
-        interval=args.interval,
+        shards=_given(args.shards, 2),
+        batch=_given(args.batch, 8),
+        interval=_given(args.interval, DEFAULT_SAMPLE_INTERVAL),
         fault=args.fault,
-        cohorts=args.cohorts,
+        cohorts=bool(args.cohorts),
     )
     print(format_health_report(report))
     if args.out:
@@ -214,36 +254,28 @@ def _health(args) -> None:
         raise ReproError("SLO breach: " + ", ".join(breaches))
 
 
-def _trace(
-    scenario: str, fmt: str, out: str, n_ases: int, seed: int, top: int
-) -> None:
-    """Run ``scenario`` traced, reconcile exactly, emit the export."""
+def _trace(args) -> None:
+    """Run a scenario traced, reconcile exactly, emit the export."""
     from repro import obs
 
-    runners = {
-        "table1": lambda t: experiments.run_table1(trace=t),
-        "table2": lambda t: experiments.run_table2(trace=t),
-        "table3": lambda t: experiments.run_table3(trace=t),
-        "table4": lambda t: experiments.run_table4(n_ases=n_ases, trace=t),
-        "figure3": lambda t: experiments.run_figure3(trace=t),
-        "switchless": lambda t: experiments.run_switchless_ablation(trace=t),
-        "rings": lambda t: experiments.run_rings_ablation(trace=t),
-        "faults": lambda t: experiments.run_fault_matrix(seed=seed, trace=t),
-    }
+    scenario, fmt = args.scenario, _given(args.format, "json")
+    top = _given(args.top, 5)
     tracer = obs.Tracer()
-    runners[scenario](tracer)
+    SCENARIOS[scenario][0](args, tracer)
     obs.reconcile(tracer)
 
     if fmt == "json":
         text = obs.trace_event_json(tracer, indent=2)
+        # Written only if Perfetto can load it: keys, ts order, B/E pairs.
+        obs.validate_trace_events(json.loads(text))
     elif fmt == "folded":
         text = obs.folded_stacks(tracer)
     else:
         text = obs.prometheus_text(tracer)
 
-    if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, f"trace-{scenario}.{_TRACE_EXT[fmt]}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, f"trace-{scenario}.{_TRACE_EXT[fmt]}")
         with open(path, "w") as fh:
             fh.write(text)
             if not text.endswith("\n"):
@@ -269,7 +301,11 @@ def _trace(
         )
 
 
-def main(argv=None) -> int:
+#: commands with their own flags and outputs, beyond the scenarios
+COMMANDS = {"trace": _trace, "load": _load, "health": _health, "epcstress": _epcstress}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -279,12 +315,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=list(SCENARIOS)
-        + ["all", "trace", "load", "health", "epcstress"],
+        choices=list(SCENARIOS) + ["all", *COMMANDS, "check"],
         help="which paper artifact to regenerate ('trace' records one, "
              "'load' runs the workload engine, 'health' evaluates SLOs "
              "over sampled metrics, 'epcstress' sweeps DPI working sets "
-             "across the EPC boundary)",
+             "across the EPC boundary, 'check <command> ...' runs a "
+             "command twice and byte-compares what it wrote)",
     )
     parser.add_argument(
         "scenario",
@@ -293,179 +329,118 @@ def main(argv=None) -> int:
         help="scenario to trace, load or health-check (required for "
              "'trace', 'load' and 'health')",
     )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="load/health: open-loop client population size "
-             "(default: 1000 for load; per-scenario SLO shape for health)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="load/health: controller shard count for the routing scenario "
-             "(default: 1 for load — unsharded; 2 for health)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="load/health: requests amortized per enclave crossing "
-             "(default: 1 for load; 8 for health)",
-    )
-    parser.add_argument(
-        "--cohorts",
-        action="store_true",
-        help="load/health: fold statistically identical clients into "
-             "cohorts — replay repeat dispatches from a cache instead of "
-             "re-executing (byte-identical report, minutes at 10^6 clients)",
-    )
-    parser.add_argument(
-        "--regions",
-        type=int,
-        default=None,
-        help="load: deploy the routing shards as a two-level tree with R "
-             "regions — region heads relay secure messages for members "
-             "(default: flat single-level sharding)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="epcstress: small problem sizes suitable for CI",
-    )
-    parser.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        help="epcstress: EPC frames on the stress platform (default: 512)",
-    )
-    parser.add_argument(
-        "--layout",
-        choices=("hot-first", "insertion"),
-        default="hot-first",
-        help="epcstress: automaton row layout in EPC pages "
-             "(default: hot-first — shallow states packed first)",
-    )
-    parser.add_argument(
-        "--interval",
-        type=int,
-        default=10_000_000,
-        help="health: metrics sample interval in modeled cycles "
-             "(default: 10M)",
-    )
-    parser.add_argument(
-        "--fault",
-        default=None,
-        help="health: activate one repro.faults fault class for the run "
-             "(e.g. shard_crash — the deliberate SLO-breach lever)",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="trace: cost sites to print in the summary (default: 5)",
-    )
-    parser.add_argument(
-        "--ases",
-        type=int,
-        default=None,
-        help="AS count: table4 topology (default: 30, as in the paper) or "
-             "the load scenario's routing population (default: 24)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="fault-plan seed for the faults job (default: 0)",
-    )
-    parser.add_argument(
-        "--format",
-        dest="format",
-        choices=sorted(_TRACE_EXT),
-        default="json",
-        help="trace export format (default: json — Chrome/Perfetto trace_event)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="directory to write the trace export into (default: stdout)",
-    )
-    args = parser.parse_args(argv)
+    for flag, (commands, kwargs, text) in _FLAGS.items():
+        parser.add_argument(
+            f"--{flag}", help=f"{', '.join(commands)}: {text}", **kwargs
+        )
+    return parser
 
-    if args.experiment == "trace":
+
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; every usage error exits through ``parser.error``."""
+    args = parser.parse_args(argv)
+    command = args.experiment
+    if command == "trace":
         if args.scenario is None:
             parser.error("'trace' needs a scenario, e.g. python -m repro trace table4")
         if args.scenario not in SCENARIOS:
             parser.error(f"'trace' scenario must be one of {', '.join(SCENARIOS)}")
-    elif args.experiment in ("load", "health"):
+    elif command in ("load", "health"):
         if args.scenario is None:
             parser.error(
-                f"'{args.experiment}' needs a scenario, e.g. "
-                f"python -m repro {args.experiment} routing"
+                f"'{command}' needs a scenario, e.g. "
+                f"python -m repro {command} routing"
             )
         if args.scenario not in experiments.LOAD_SCENARIOS:
             parser.error(
-                f"'{args.experiment}' scenario must be one of "
+                f"'{command}' scenario must be one of "
                 + ", ".join(experiments.LOAD_SCENARIOS)
             )
     elif args.scenario is not None:
-        parser.error(f"unexpected positional {args.scenario!r} after {args.experiment!r}")
+        parser.error(f"unexpected positional {args.scenario!r} after {command!r}")
+    for flag, (commands, _kwargs, _text) in _FLAGS.items():
+        if getattr(args, flag) is not None and command not in commands:
+            parser.error(
+                f"--{flag} only applies to "
+                + ", ".join(f"'{name}'" for name in commands)
+            )
+    return args
 
-    if args.smoke and args.experiment != "epcstress":
-        parser.error("--smoke only applies to 'epcstress'")
-    if args.frames is not None and args.experiment != "epcstress":
-        parser.error("--frames only applies to 'epcstress'")
-    if args.fault is not None and args.experiment != "health":
-        parser.error("--fault only applies to 'health'")
-    if args.experiment not in ("load", "health"):
-        for flag in ("clients", "shards", "batch"):
-            if getattr(args, flag) is not None:
-                parser.error(f"--{flag} only applies to 'load' and 'health'")
-        if args.cohorts:
-            parser.error("--cohorts only applies to 'load' and 'health'")
-    if args.regions is not None and args.experiment != "load":
-        parser.error("--regions only applies to 'load'")
 
-    jobs = {
-        "table1": _table1,
-        "table2": _table2,
-        "table3": _table3,
-        "table4": lambda: _table4(args.ases if args.ases is not None else 30),
-        "figure3": _figure3,
-        "switchless": _switchless,
-        "rings": _rings,
-        "faults": lambda: _faults(args.seed),
-        "trace": lambda: _trace(
-            args.scenario,
-            args.format,
-            args.out,
-            args.ases if args.ases is not None else 30,
-            args.seed,
-            args.top,
-        ),
-        "load": lambda: _load(args),
-        "health": lambda: _health(args),
-        "epcstress": lambda: _epcstress(args),
-    }
-    if args.experiment in ("trace", "load", "health", "epcstress"):
-        selected = [args.experiment]
-    elif args.experiment == "all":
-        selected = [
-            s for s in jobs
-            if s not in ("trace", "load", "health", "epcstress")
-        ]
-    else:
-        selected = [args.experiment]
+def _run(args, clock: bool = True) -> int:
+    """Run the parsed command (every scenario, in order, for ``all``)."""
+    selected = list(SCENARIOS) if args.experiment == "all" else [args.experiment]
     for name in selected:
         start = time.time()
         try:
-            jobs[name]()
+            if name in COMMANDS:
+                COMMANDS[name](args)
+            else:
+                run, fmt = SCENARIOS[name]
+                print(fmt(run(args, None)))
         except Exception as exc:  # noqa: BLE001 — CLI boundary
             print(f"[{name} failed: {type(exc).__name__}: {exc}]", file=sys.stderr)
             return 1
-        print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
+        if clock:
+            print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
     return 0
+
+
+def _check(parser: argparse.ArgumentParser, argv) -> int:
+    """Run ``argv`` twice in this process and byte-compare what it wrote.
+
+    Each run works in its own scratch directory, so everything it
+    writes there, and its stdout, is compared; on success the first
+    run's files are copied into the working directory.
+    """
+    if not argv or argv[0] == "check":
+        parser.error("'check' needs a command, e.g. python -m repro check load routing")
+    if os.path.isabs(_parse(parser, argv).out or ""):
+        parser.error("'check' needs a relative --out: each run writes in its own directory")
+    runs = []
+    for _ in range(2):
+        stdout, home = io.StringIO(), os.getcwd()
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                with contextlib.redirect_stdout(stdout):
+                    status = _run(_parse(parser, argv), clock=False)
+            finally:
+                os.chdir(home)
+            written = {"stdout": stdout.getvalue().encode()}
+            for root, _dirs, files in os.walk(scratch):
+                for name in files:
+                    path = os.path.join(root, name)
+                    with open(path, "rb") as fh:
+                        written[os.path.relpath(path, scratch)] = fh.read()
+        if status:
+            sys.stdout.write(stdout.getvalue())
+            return status
+        runs.append(written)
+    first, second = runs
+    differ = sorted(
+        name for name in first.keys() | second.keys()
+        if first.get(name) != second.get(name)
+    )
+    if differ:
+        print(f"[check failed: the two runs wrote different {', '.join(differ)}]",
+              file=sys.stderr)
+        return 1
+    sys.stdout.write(first.pop("stdout").decode())
+    for path, data in first.items():
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+    print(f"[check: both runs wrote identical stdout and {len(first)} file(s)]")
+    return 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    if argv[:1] == ["check"]:
+        return _check(parser, argv[1:])
+    return _run(_parse(parser, argv))
 
 
 if __name__ == "__main__":

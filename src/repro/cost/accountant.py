@@ -260,13 +260,13 @@ class CostAccountant:
     ) -> None:
         """Charge one burst of pre-summed integer deltas in one call.
 
-        Exactly equivalent — counters, span self-counts, instant stream
-        and clock snapshots — to the per-field sequence
+        Exactly equivalent — counters, span self-counts, instant stream,
+        clock snapshots and metrics samples — to the per-field sequence
         ``charge_normal; charge_sgx; charge_crossing;
         charge_allocation; charge_switchless; charge_fault``: the
-        tracer sees a single combined ``on_charge`` (clocks advance by
-        the same totals before any instant is snapshotted) and the same
-        ``crossing``/``switchless_hit`` instants in the same order.
+        tracer sees the same two ``on_charge`` records (normal, then
+        sgx), so a sample boundary between them reads the same, and the
+        same ``crossing``/``switchless_hit`` instants in the same order.
         ``obs.reconcile()`` is the oracle for that equivalence.
         """
         if not self.enabled:
@@ -283,8 +283,10 @@ class CostAccountant:
         tracer = self.tracer
         if tracer is not None:
             domain = self._domain_stack[-1]
-            if sgx or normal:
-                tracer.on_charge(self.source, domain, sgx, normal)
+            if normal:
+                tracer.on_charge(self.source, domain, 0, normal)
+            if sgx:
+                tracer.on_charge(self.source, domain, sgx, 0)
             if crossings:
                 tracer.on_instant("crossing", self.source, domain, count=crossings)
             if switchless:

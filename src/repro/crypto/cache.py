@@ -248,6 +248,10 @@ def memoize_charged(
     domain switches inside).  The cache key includes the active
     :class:`~repro.cost.model.CostModel` because recorded charges are
     model-dependent.  Unhashable arguments silently take the cold path.
+
+    A call charges its totals as one burst whether it hits, misses or
+    runs with caches disabled, so a metrics sample that falls inside
+    the computation reads the same on every path.
     """
 
     def decorate(func: Callable) -> Callable:
@@ -256,34 +260,33 @@ def memoize_charged(
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _ENABLED:
-                return func(*args, **kwargs)
-            model = cost_context.current_model()
-            try:
-                key = (model, args, tuple(sorted(kwargs.items())))
-                entry = cache.get(key)
-            except TypeError:
-                return func(*args, **kwargs)
-            accountant = cost_context.current_accountant()
-            if entry is None:
-                stats.misses += 1
-                recorder = _ChargeRecorder(accountant)
+            key = None
+            if _ENABLED:
                 try:
-                    with cost_context.use_accountant(recorder):
-                        result = func(*args, **kwargs)
-                except BaseException:
-                    # Raising calls are not cached, but the charges made
-                    # before the raise must still land in the real
-                    # accountant — failure paths cost the same either way.
-                    _replay(accountant, recorder.charges())
-                    raise
+                    key = (cost_context.current_model(), args,
+                           tuple(sorted(kwargs.items())))
+                    entry = cache.get(key)
+                except TypeError:
+                    key = None
+                else:
+                    if entry is not None:
+                        stats.hits += 1
+                        _replay(cost_context.current_accountant(), entry[1])
+                        return entry[0]
+                    stats.misses += 1
+            accountant = cost_context.current_accountant()
+            recorder = _ChargeRecorder(accountant)
+            try:
+                with cost_context.use_accountant(recorder):
+                    result = func(*args, **kwargs)
+            finally:
+                # Raising calls are not cached, but the charges made
+                # before the raise still land in the real accountant:
+                # failure paths cost the same either way.
+                _replay(accountant, recorder.charges())
+            if key is not None:
                 _trim(cache, maxsize)
-                entry = (result, recorder.charges())
-                cache[key] = entry
-            else:
-                stats.hits += 1
-            result, charges = entry
-            _replay(accountant, charges)
+                cache[key] = (result, recorder.charges())
             return result
 
         wrapper.cache = cache  # type: ignore[attr-defined]

@@ -9,6 +9,8 @@ calling the ``make_*`` factories with their own seed.
 """
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from tests.fixtures import (
     make_accountant,
@@ -16,6 +18,32 @@ from tests.fixtures import (
     make_authority,
     make_platform,
 )
+
+# Hypothesis profiles, registered once for the whole suite.  ``default``
+# keeps the suite derandomized (same examples every run); select another
+# with ``pytest --hypothesis-profile=ci|nightly``.  Conformance suites
+# scale their budgets with ``max_examples`` (tests/conformance/harness.py),
+# so ``ci`` doubles them and ``nightly`` runs them at 20x with a random
+# seed, saving every falsifying example to the ``.hypothesis/`` database
+# so the next run replays it first.
+settings.register_profile(
+    "default", derandomize=True, max_examples=60, print_blob=True
+)
+settings.register_profile(
+    "ci",
+    settings.get_profile("default"),
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "nightly",
+    settings.get_profile("ci"),
+    derandomize=False,
+    database=DirectoryBasedExampleDatabase(".hypothesis/examples"),
+    max_examples=1200,
+)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

@@ -15,16 +15,14 @@ lock-step on both kernels and the observation logs must match exactly:
   oracle — any divergence in execution order shows up as a
   different counter total).
 
-Budget: ``REPRO_CONFORMANCE_EXAMPLES`` scales the number of generated
-programs (default 25 per property for tier-1 speed; the nightly job
-raises it).  The ``slow``-marked variant multiplies the budget by 8.
-A falsified program is also written to ``conformance-failures/`` as a
-standalone repr so CI can upload it as an artifact.
+Budget: 25 generated programs per property under the default
+hypothesis profile, scaled by ``--hypothesis-profile`` (see
+tests/conformance/harness.py); the ``slow``-marked variant runs 8x
+that on deeper programs.  A falsified program prints its
+``@reproduce_failure`` blob.
 """
 
 import itertools
-import os
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +31,9 @@ from hypothesis import strategies as st
 from repro.cost.accountant import CostAccountant
 from repro.errors import SimTimeout
 from repro.net import sim, sim_reference
+from tests.conformance.harness import examples
 
-EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
-FAILURE_DIR = pathlib.Path(__file__).resolve().parents[2] / "conformance-failures"
+EXAMPLES = examples(25)
 
 _SPAWN_BUDGET = 16  # bounds mutually-recursive spawn ops
 
@@ -156,19 +154,7 @@ def assert_conformant(program, until=None, max_events=10_000_000):
     reference = run_program(
         sim_reference, program, until=until, max_events=max_events
     )
-    try:
-        assert fast == reference
-    except AssertionError:
-        FAILURE_DIR.mkdir(exist_ok=True)
-        name = f"program-{abs(hash(repr(program))) % 10**10}.py"
-        (FAILURE_DIR / name).write_text(
-            "# Falsified scheduler-conformance program; replay with\n"
-            "#   tests/core/test_sim_conformance.py::run_program\n"
-            f"program = {program!r}\n"
-            f"until = {until!r}\n"
-            f"max_events = {max_events!r}\n"
-        )
-        raise
+    assert fast == reference
 
 
 # -- generated programs -----------------------------------------------------

@@ -12,9 +12,14 @@ These hypothesis properties pin that contract for every cached kernel:
 AES block ops, CTR keystreams, ECB/CBC, HMAC, CMAC, HKDF and Schnorr
 verification.
 
-The record-channel regression at the bottom pins the satellite fix:
-one key-schedule expansion per distinct session key, while
-``cipher_init_normal`` is still charged once per cipher instance.
+``memoize_charged`` routes every call, cached or not, through its
+charge recorder, so the cold path above is not independent of it.
+:class:`TestMemoizedColdOracle` is the recorder's oracle: the
+undecorated function (``__wrapped__``) under a plain accountant.
+
+The record-channel regression at the bottom pins one key-schedule
+expansion per distinct session key, while ``cipher_init_normal`` is
+still charged once per cipher instance.
 """
 
 import pytest
@@ -26,10 +31,22 @@ from repro.cost.accountant import CostAccountant
 from repro.crypto import cache
 from repro.crypto.aes import AES, key_schedule_stats
 from repro.crypto.drbg import Rng
+from repro.crypto.hashes import sha256
 from repro.crypto.kdf import hkdf
 from repro.crypto.mac import aes_cmac, cmac_verify, hmac_sha256, hmac_verify
 from repro.crypto.modes import CtrStream, cbc_encrypt, ecb_decrypt, ecb_encrypt
 from repro.crypto.schnorr import generate_schnorr_keypair, schnorr_sign, schnorr_verify
+from repro.errors import AttestationError
+from repro.sgx.keys import (
+    SealPolicy,
+    derive_launch_key,
+    derive_report_key,
+    derive_seal_key,
+)
+from repro.sgx.measurement import EnclaveIdentity, compute_mrenclave
+from repro.sgx.quoting import Quote, verify_quote
+from tests.conformance.harness import Knobs, applied
+from tests.fixtures import make_authority
 
 KEYS = st.binary(min_size=16, max_size=16) | st.binary(min_size=32, max_size=32)
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -132,6 +149,113 @@ class TestCacheEquivalence:
 
         assert_equivalent(op)
         assert op() is not tamper
+
+
+MEMOIZED = [
+    "hkdf", "schnorr-verify", "schnorr-verify-bad", "verify-quote",
+    "verify-quote-forged", "mrenclave", "sgx-report-key", "sgx-seal-key",
+    "sgx-launch-key", "every-field",
+]
+
+
+@cache.memoize_charged(name="every-field-probe")
+def _every_field(work: int) -> int:
+    """The package's memoized functions charge normal instructions only;
+    this probe charges every counter field, enclave-inflated work too."""
+    cost_context.charge_app_normal(work)
+    cost_context.charge_sgx(2)
+    cost_context.current_accountant().charge_crossing(3)
+    cost_context.charge_allocation(4)
+    cost_context.charge_switchless(5)
+    cost_context.charge_fault(6)
+    return work
+
+
+def _memoized_calls():
+    """name -> (memoized function, args) for every memoize_charged entry
+    in the package, with a failing call where the function can raise."""
+    authority = make_authority(b"memo-oracle")
+    member = authority.provision_member("memo-oracle")
+    qe = EnclaveIdentity(mrenclave=b"\x09" * 32, mrsigner=b"\x0a" * 32)
+    authority.register_qe_measurement(qe.mrenclave)
+    unsigned = Quote(
+        identity=EnclaveIdentity(mrenclave=b"\x01" * 32, mrsigner=b"\x02" * 32),
+        report_data=b"\x03" * 64,
+        qe_identity=qe,
+        signature=None,
+    )
+    signed = Quote(
+        unsigned.identity, unsigned.report_data, qe,
+        member.sign(sha256(unsigned.signed_body())),
+    )
+    forged = Quote(unsigned.identity, b"\x04" * 64, qe, signed.signature)
+    info = authority.verification_info()
+    schnorr_key = generate_schnorr_keypair(Rng(b"memo-oracle"))
+    signature = schnorr_sign(schnorr_key, b"message")
+    identity = EnclaveIdentity(
+        mrenclave=b"\x05" * 32, mrsigner=b"\x06" * 32, isv_prod_id=3
+    )
+    return {
+        "hkdf": (hkdf, (b"ikm", b"salt", b"info", 48)),
+        "schnorr-verify": (
+            schnorr_verify,
+            (schnorr_key.group, schnorr_key.y, b"message", signature),
+        ),
+        "schnorr-verify-bad": (
+            schnorr_verify,
+            (schnorr_key.group, schnorr_key.y, b"other", signature),
+        ),
+        "verify-quote": (verify_quote, (signed.encode(), info)),
+        "verify-quote-forged": (verify_quote, (forged.encode(), info)),
+        "mrenclave": (compute_mrenclave, (b"code" * 2000,)),
+        "sgx-report-key": (
+            derive_report_key, (b"\x07" * 32, b"\x08" * 32, b"\x0b" * 32)
+        ),
+        "sgx-seal-key": (
+            derive_seal_key,
+            (b"\x07" * 32, identity, SealPolicy.MRSIGNER, b"\x0c" * 32),
+        ),
+        "sgx-launch-key": (derive_launch_key, (b"\x07" * 32,)),
+        "every-field": (_every_field, (1000,)),
+    }
+
+
+class TestMemoizedColdOracle:
+    """Each memoized function, run with caches disabled, on a miss and
+    on a hit, charges exactly what its undecorated body charges under a
+    plain accountant: in untrusted code and inside an enclave, with the
+    replay coalesced into one burst and charged field by field."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        return _memoized_calls()
+
+    @staticmethod
+    def _run(call, domain):
+        acct = CostAccountant()
+        with cost_context.use_accountant(acct), acct.attribute(domain):
+            try:
+                out = call()
+            except AttestationError as exc:
+                out = type(exc).__name__
+        return out, {d: c.as_dict() for d, c in acct.snapshot().items()}
+
+    @pytest.mark.parametrize("burst", [True, False])
+    @pytest.mark.parametrize("domain", ["untrusted", "enclave:oracle"])
+    @pytest.mark.parametrize("name", MEMOIZED)
+    def test_charges_equal_undecorated_body(self, calls, name, domain, burst):
+        fn, args = calls[name]
+        cache.clear_all()
+        with applied(Knobs(burst=burst)), cache.disabled():
+            oracle = self._run(lambda: fn.__wrapped__(*args), domain)
+            assert self._run(lambda: fn(*args), domain) == oracle
+        cache.clear_all()
+        with applied(Knobs(burst=burst)):
+            assert self._run(lambda: fn(*args), domain) == oracle  # miss
+            hits = fn.stats.hits
+            assert self._run(lambda: fn(*args), domain) == oracle
+        if not isinstance(oracle[0], str):
+            assert fn.stats.hits == hits + 1  # a raising call is not cached
 
 
 class TestRecordChannelKeySchedule:

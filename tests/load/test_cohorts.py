@@ -1,25 +1,16 @@
-"""The cohort <-> per-client equivalence suite (the cohort tier's gate).
+"""The cohort memo <-> per-client equivalence suite (the memo's gate).
 
-The cohort tier (:mod:`repro.load.cohorts`) is only allowed to be an
-optimization: for *every* configuration its ``BENCH_load.json`` must
-be byte-identical to the per-client engine's — which, because the
-document embeds the steady counters, per-shard stats, outcome tallies
-and the event-log fingerprint, also pins the accountants
-integer-for-integer.  Hypothesis drives randomized configurations
-across all three scenarios, flat and two-level shard trees; a pinned
-grid covers the seeds/batches CI promises explicitly; a lock-step walk
-compares accountant snapshots after every dispatch, not just at the
-end.
-
-Budget: ``REPRO_CONFORMANCE_EXAMPLES`` scales the generated-config
-count (default 25 for tier-1 speed; nightly raises it).  A falsified
-configuration is dumped to ``conformance-failures/`` as JSON — the
-config plus both documents — so CI uploads it as an artifact.
+The cohort memo (:mod:`repro.load.cohorts`) is only allowed to be an
+optimization: its ``BENCH_load.json`` must be byte-identical to the
+per-client engine's, and its steady counters, per-shard stats and
+outcome tallies integer-equal.  The knob lattice
+(tests/conformance/) samples the memo in every combination with the
+other fast paths; here Hypothesis drives randomized configurations
+across all three scenarios, flat and two-level shard trees, against
+the memo-less engine, a pinned grid holds the shapes CI promises
+explicitly, and a lock-step walk compares accountant snapshots after
+every dispatch, not just at the end.
 """
-
-import json
-import os
-import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,32 +24,17 @@ from repro.load.engine import (
     plan_dispatches,
     run_load_engine,
 )
-from repro.load.report import bench_json, validate_bench
 from repro.obs.export import folded_stacks, trace_event_json
 from repro.obs.slo import export_health_timeseries, run_health
-
-EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
-FAILURE_DIR = (
-    pathlib.Path(__file__).resolve().parents[2] / "conformance-failures"
+from tests.conformance.harness import (
+    Knobs,
+    assert_matches,
+    examples,
+    load,
+    without_cohort_families,
 )
 
-
-def _dump_failure(config: dict, cohort_text: str, client_text: str) -> str:
-    FAILURE_DIR.mkdir(exist_ok=True)
-    slug = "-".join(f"{k}{v}" for k, v in sorted(config.items()))
-    path = FAILURE_DIR / f"cohort-equiv-{slug}.json"
-    path.write_text(
-        json.dumps(
-            {
-                "config": config,
-                "cohort": json.loads(cohort_text),
-                "per_client": json.loads(client_text),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return str(path)
+EXAMPLES = examples(25)
 
 
 def assert_equivalent(
@@ -68,31 +44,12 @@ def assert_equivalent(
     batch: int,
     seed: int,
     regions=None,
-) -> str:
-    """Run both tiers; byte-compare the reports.  Returns the text."""
-    cohort = run_load_cohorts(
-        scenario, clients, shards, batch, seed, regions=regions
+) -> None:
+    """The memo's outputs equal the per-client engine's at this shape."""
+    assert_matches(
+        load(scenario, clients, shards, batch, regions=regions),
+        seed, None, Knobs(memo=True), baseline=Knobs(),
     )
-    client = run_load_engine(
-        scenario, clients, shards, batch, seed, regions=regions
-    )
-    cohort_text = bench_json(cohort)
-    client_text = bench_json(client)
-    if cohort_text != client_text:
-        config = {
-            "scenario": scenario, "clients": clients, "shards": shards,
-            "batch": batch, "seed": seed, "regions": regions,
-        }
-        path = _dump_failure(config, cohort_text, client_text)
-        pytest.fail(
-            f"cohort tier diverged from per-client replay for {config}; "
-            f"both documents dumped to {path}"
-        )
-    assert validate_bench(json.loads(cohort_text)) == []
-    assert cohort.steady_counters == client.steady_counters
-    assert cohort.shard_stats == client.shard_stats
-    assert cohort.outcomes == client.outcomes
-    return cohort_text
 
 
 class TestPinnedGrid:
@@ -280,13 +237,6 @@ class TestAggregateResult:
         assert misses <= 0.10 * dispatches
 
 
-def _without_cohort_families(text: str) -> str:
-    return "".join(
-        line for line in text.splitlines(keepends=True)
-        if "load_cohort_" not in line
-    )
-
-
 class TestObservedReplay:
     """A replayed dispatch re-issues the charge-log records the real one
     appended, in order: a metrics sample that falls inside a dispatch,
@@ -300,8 +250,8 @@ class TestObservedReplay:
         cohort = run_health("routing", seed=seed, batch=batch, cohorts=True)
         if batch == 1:
             assert cohort.registry.total("load_cohort_hits") > 0
-        assert _without_cohort_families(
+        assert without_cohort_families(
             export_health_timeseries(cohort)
-        ) == _without_cohort_families(export_health_timeseries(client))
+        ) == without_cohort_families(export_health_timeseries(client))
         assert trace_event_json(cohort.tracer) == trace_event_json(client.tracer)
         assert folded_stacks(cohort.tracer) == folded_stacks(client.tracer)

@@ -21,17 +21,12 @@ The contract asserted for every case:
 3. **streaming equivalence** — the same bytes split differently across
    records at the automaton level must yield the same matches.
 
-A failing case is dumped to ``conformance-failures/`` as JSON so the
-nightly big-budget job (and a human) can replay it.  Example budget:
-``REPRO_CONFORMANCE_EXAMPLES`` (default 25 for tier-1; the ``slow``
-sweep uses ``REPRO_CONFORMANCE_EXAMPLES_NIGHTLY``, default 500).
+Budget: 25 cases under the default hypothesis profile, scaled by
+``--hypothesis-profile`` (see tests/conformance/harness.py).  The knob
+lattice (tests/conformance/) runs the reference walk inside whole
+middlebox runs too.
 """
 
-import hashlib
-import json
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,13 +37,7 @@ from repro.middlebox.dpi_reference import (
     ReferenceAhoCorasick,
     ReferenceDpiEngine,
 )
-
-EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
-NIGHTLY_EXAMPLES = int(
-    os.environ.get("REPRO_CONFORMANCE_EXAMPLES_NIGHTLY", "500")
-)
-FAILURE_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
-                           "conformance-failures")
+from tests.conformance.harness import examples
 
 ENCLAVE_DOMAIN = "enclave:dpi-conformance"
 
@@ -113,75 +102,15 @@ def _check_conformance(ruleset, stream):
         assert counters == ref_counters, f"cost counters diverged ({layout})"
 
 
-def _dump_failure(ruleset, stream, error):
-    os.makedirs(FAILURE_DIR, exist_ok=True)
-    doc = {
-        "ruleset": {
-            rule_id: [pattern.hex(), action]
-            for rule_id, (pattern, action) in sorted(ruleset.items())
-        },
-        "stream": [[flow, direction, record.hex()]
-                   for flow, direction, record in stream],
-        "error": str(error),
-    }
-    blob = json.dumps(doc, sort_keys=True, indent=2)
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    path = os.path.join(FAILURE_DIR, f"dpi-{digest}.json")
-    with open(path, "w") as fh:
-        fh.write(blob + "\n")
-    return path
-
-
-def _differential(ruleset, stream):
-    try:
-        _check_conformance(ruleset, stream)
-    except AssertionError as exc:
-        path = _dump_failure(ruleset, stream, exc)
-        raise AssertionError(
-            f"DPI conformance failure (case dumped to {path}): {exc}"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # The suites
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(ruleset=_ruleset, stream=_stream)
 def test_conformance_random_streams(ruleset, stream):
-    _differential(ruleset, stream)
-
-
-@pytest.mark.slow
-@settings(max_examples=NIGHTLY_EXAMPLES, deadline=None)
-@given(ruleset=_ruleset, stream=_stream)
-def test_conformance_big_budget(ruleset, stream):
-    """The nightly sweep: same property, 20x the example budget."""
-    _differential(ruleset, stream)
-
-
-def test_replay_dumped_failures():
-    """Any case previously dumped by a failing run must now pass."""
-    if not os.path.isdir(FAILURE_DIR):
-        pytest.skip("no conformance failures on record")
-    dumps = sorted(
-        name for name in os.listdir(FAILURE_DIR) if name.startswith("dpi-")
-    )
-    if not dumps:
-        pytest.skip("no DPI conformance failures on record")
-    for name in dumps:
-        with open(os.path.join(FAILURE_DIR, name)) as fh:
-            doc = json.load(fh)
-        ruleset = {
-            rule_id: (bytes.fromhex(pattern), action)
-            for rule_id, (pattern, action) in doc["ruleset"].items()
-        }
-        stream = [
-            (flow, direction, bytes.fromhex(record))
-            for flow, direction, record in doc["stream"]
-        ]
-        _check_conformance(ruleset, stream)
+    _check_conformance(ruleset, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +120,7 @@ def test_replay_dumped_failures():
 
 class TestKnownCases:
     def test_nested_and_overlapping(self):
-        _differential(
+        _check_conformance(
             {"r0": (b"\x00\x01", "alert"), "r1": (b"\x01", "alert"),
              "r2": (b"\x00\x01\x00", "block")},
             [(0, "c2s", b"\x00\x01\x00\x01\x00")],
@@ -221,10 +150,10 @@ class TestKnownCases:
     def test_block_rule_same_record_index(self):
         stream = [(0, "c2s", b"\x00" * 5), (0, "c2s", b"\x03\x03"),
                   (1, "s2c", b"\x03\x03")]
-        _differential({"kill": (b"\x03\x03", "block")}, stream)
+        _check_conformance({"kill": (b"\x03\x03", "block")}, stream)
 
     def test_alert_order_is_rule_sorted_per_position(self):
-        _differential(
+        _check_conformance(
             {"r9": (b"\x01", "alert"), "r1": (b"\x00\x01", "alert")},
             [(0, "c2s", b"\x00\x01\x01")],
         )

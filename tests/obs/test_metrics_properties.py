@@ -13,8 +13,6 @@ Two generators feed the same invariant — summed metric series reconcile
   also export byte-identical OpenMetrics time-series.
 """
 
-import os
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +20,9 @@ from repro import obs
 from repro.cost import CostAccountant
 from repro.net import sim, sim_reference
 from repro.obs.metrics import MetricsRegistry, openmetrics_timeseries
+from tests.conformance.harness import examples
 
-EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
+EXAMPLES = examples(25)
 
 # Accountant Counter field -> the metric family mirroring it.
 _FAMILIES = {

@@ -7,16 +7,15 @@ evident* (any bit flipped in the evicted blob faults on reload).
 Hypothesis sweeps page contents, offsets, and flip positions.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EnclaveAccessError, SgxError
 from repro.sgx.epc import PAGE_SIZE, EnclavePageCache, EpcPage, PageType
+from tests.conformance.harness import examples
 
-EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
+EXAMPLES = examples(25)
 
 _key = st.binary(min_size=16, max_size=32)
 _content = st.binary(min_size=0, max_size=200)

@@ -19,18 +19,10 @@ The contract asserted for every program:
 4. **exact reconciliation** — a traced ring arm's span tree must
    account for every charged instruction (``obs.reconcile``).
 
-A failing program is dumped to ``conformance-failures/`` as JSON so
-the nightly big-budget job (and a human) can replay it.  Example
-budget: ``REPRO_CONFORMANCE_EXAMPLES`` (default 25 for tier-1; the
-``slow``-marked sweep uses ``REPRO_CONFORMANCE_EXAMPLES_NIGHTLY``,
-default 500).
+Budget: 25 programs under the default hypothesis profile, scaled by
+``--hypothesis-profile`` (see tests/conformance/harness.py).
 """
 
-import hashlib
-import json
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,13 +32,7 @@ from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
 from repro.sgx import RingPair, SgxPlatform
 from repro.sgx.switchless import SwitchlessQueue
-
-EXAMPLES = int(os.environ.get("REPRO_CONFORMANCE_EXAMPLES", "25"))
-NIGHTLY_EXAMPLES = int(
-    os.environ.get("REPRO_CONFORMANCE_EXAMPLES_NIGHTLY", "500")
-)
-FAILURE_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
-                           "conformance-failures")
+from tests.conformance.harness import examples
 
 ENCLAVE_DOMAIN = "enclave:conformance"
 
@@ -225,64 +211,15 @@ def _check_conformance(program, geometry):
     assert ring_stats.completed >= ring_stats.reaped
 
 
-def _dump_failure(program, geometry, error):
-    os.makedirs(FAILURE_DIR, exist_ok=True)
-    doc = {
-        "program": [list(op) for op in program],
-        "geometry": geometry,
-        "error": str(error),
-    }
-    blob = json.dumps(doc, sort_keys=True, indent=2)
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    path = os.path.join(FAILURE_DIR, f"program-{digest}.json")
-    with open(path, "w") as fh:
-        fh.write(blob + "\n")
-    return path
-
-
-def _differential(program, geometry):
-    try:
-        _check_conformance(program, geometry)
-    except AssertionError as exc:
-        path = _dump_failure(program, geometry, exc)
-        raise AssertionError(
-            f"conformance failure (program dumped to {path}): {exc}"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # The suites
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(program=_program, geometry=_geometry)
 def test_conformance_random_programs(program, geometry):
-    _differential(program, geometry)
-
-
-@pytest.mark.slow
-@settings(max_examples=NIGHTLY_EXAMPLES, deadline=None)
-@given(program=_program, geometry=_geometry)
-def test_conformance_big_budget(program, geometry):
-    """The nightly sweep: same property, 20x the example budget."""
-    _differential(program, geometry)
-
-
-def test_replay_dumped_failures():
-    """Any program previously dumped by a failing run must now pass —
-    the nightly job replays the corpus before the random sweep."""
-    if not os.path.isdir(FAILURE_DIR):
-        pytest.skip("no conformance failures on record")
-    dumps = sorted(os.listdir(FAILURE_DIR))
-    if not dumps:
-        pytest.skip("no conformance failures on record")
-    for name in dumps:
-        with open(os.path.join(FAILURE_DIR, name)) as fh:
-            doc = json.load(fh)
-        _check_conformance(
-            [tuple(op) for op in doc["program"]], doc["geometry"]
-        )
+    _check_conformance(program, geometry)
 
 
 class TestKnownPrograms:
@@ -296,27 +233,27 @@ class TestKnownPrograms:
     }
 
     def test_empty_barriers_only(self):
-        _differential([("barrier",), ("flush",), ("barrier",)], self.GEOMETRY)
+        _check_conformance([("barrier",), ("flush",), ("barrier",)], self.GEOMETRY)
 
     def test_single_call(self):
-        _differential([("call", 7)], self.GEOMETRY)
+        _check_conformance([("call", 7)], self.GEOMETRY)
 
     def test_burst_past_every_boundary(self):
         # 13 calls against capacity 4 / depth 4: overflows, harvests
         # and the final implicit barrier all fire.
-        _differential(
+        _check_conformance(
             [("call", v) for v in range(13)] + [("barrier",)], self.GEOMETRY
         )
 
     def test_flush_between_bursts(self):
-        _differential(
+        _check_conformance(
             [("call", 1), ("call", 2), ("flush",), ("call", 3), ("barrier",)],
             self.GEOMETRY,
         )
 
     def test_block_backpressure_geometry(self):
         geometry = dict(self.GEOMETRY, backpressure="block", capacity=2)
-        _differential([("call", v) for v in range(9)], geometry)
+        _check_conformance([("call", v) for v in range(9)], geometry)
 
 
 class TestTracedReconciliation:

@@ -54,10 +54,10 @@ class TestCli:
             main(["table9"])
 
     def test_failing_scenario_exits_nonzero(self, monkeypatch, capsys):
-        def boom():
+        def boom(args, tracer):
             raise RuntimeError("scenario exploded")
 
-        monkeypatch.setattr(cli, "_table2", boom)
+        monkeypatch.setitem(cli.SCENARIOS, "table2", (boom, str))
         assert main(["table2"]) == 1
         err = capsys.readouterr().err
         assert "table2 failed" in err
@@ -65,28 +65,66 @@ class TestCli:
 
     def test_all_stops_at_first_failure(self, monkeypatch, capsys):
         ran = []
-        monkeypatch.setattr(cli, "_table1", lambda: ran.append("table1"))
-        monkeypatch.setattr(
-            cli, "_table2", lambda: (_ for _ in ()).throw(ValueError("nope"))
+        for name in cli.SCENARIOS:
+            monkeypatch.setitem(
+                cli.SCENARIOS, name, (lambda a, t, n=name: ran.append(n), str)
+            )
+        monkeypatch.setitem(
+            cli.SCENARIOS, "table2",
+            (lambda a, t: (_ for _ in ()).throw(ValueError("nope")), str),
         )
-        monkeypatch.setattr(cli, "_table3", lambda: ran.append("table3"))
         assert main(["all"]) == 1
         assert ran == ["table1"]
 
     def test_all_honors_ases_and_seed(self, monkeypatch, capsys):
         seen = {}
-        monkeypatch.setattr(cli, "_table1", lambda: None)
-        monkeypatch.setattr(cli, "_table2", lambda: None)
-        monkeypatch.setattr(cli, "_table3", lambda: None)
-        monkeypatch.setattr(cli, "_table4", lambda n: seen.setdefault("ases", n))
-        monkeypatch.setattr(cli, "_figure3", lambda: None)
-        monkeypatch.setattr(cli, "_switchless", lambda: None)
-        monkeypatch.setattr(cli, "_rings", lambda: None)
-        monkeypatch.setattr(cli, "_faults", lambda s: seen.setdefault("seed", s))
+        for name, (run, _fmt) in cli.SCENARIOS.items():
+            monkeypatch.setitem(cli.SCENARIOS, name, (run, str))
+        for name in ("run_table1", "run_table2", "run_table3", "run_figure3",
+                     "run_switchless_ablation", "run_rings_ablation"):
+            monkeypatch.setattr(experiments, name, lambda trace: None)
+        monkeypatch.setattr(
+            experiments, "run_table4",
+            lambda n_ases, trace: seen.setdefault("ases", n_ases),
+        )
+        monkeypatch.setattr(
+            experiments, "run_fault_matrix",
+            lambda seed, trace: seen.setdefault("seed", seed),
+        )
         assert main(["all", "--ases", "7", "--seed", "3"]) == 0
         assert seen == {"ases": 7, "seed": 3}
         out = capsys.readouterr().out
         assert out.count("regenerated") == 8
+
+    # one command the flag does not apply to, per flag
+    @pytest.mark.parametrize("argv", [
+        ["health", "routing", "--format", "prom"],
+        ["epcstress", "--top", "3"],
+        ["health", "routing", "--layout", "insertion"],
+        ["epcstress", "--interval", "100"],
+        ["health", "routing", "--ases", "8"],
+        ["epcstress", "--ases", "8"],
+        ["table2", "--seed", "1"],
+        ["table1", "--out", "x"],
+        ["load", "routing", "--fault", "drop"],
+        ["health", "routing", "--regions", "2"],
+        ["load", "routing", "--smoke"],
+        ["health", "routing", "--frames", "64"],
+        ["epcstress", "--clients", "5"],
+        ["trace", "table2", "--shards", "2"],
+        ["faults", "--batch", "2"],
+        ["epcstress", "--cohorts"],
+        # zero is a given value, not an absent flag
+        ["table2", "--seed", "0"],
+        ["health", "routing", "--top", "0"],
+        ["epcstress", "--ases", "0"],
+        ["trace", "table2", "--clients", "0"],
+    ])
+    def test_flag_rejected_where_it_does_not_apply(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "only applies to" in capsys.readouterr().err
 
 
 class TestTraceCli:
@@ -125,6 +163,17 @@ class TestTraceCli:
         assert path.exists()
         obs.validate_trace_events(json.loads(path.read_text()))
         assert str(path) in capsys.readouterr().out
+
+    def test_malformed_json_export_exits_nonzero(self, monkeypatch, capsys,
+                                                 tmp_path):
+        # a span that ends before it begins: Perfetto could not load it
+        broken = json.dumps({"traceEvents": [
+            {"name": "x", "ph": "E", "ts": 0, "pid": 1, "tid": 1},
+        ]})
+        monkeypatch.setattr(obs, "trace_event_json", lambda t, indent: broken)
+        assert main(["trace", "table2", "--out", str(tmp_path)]) == 1
+        assert "trace failed" in capsys.readouterr().err
+        assert not (tmp_path / "trace-table2.json").exists()
 
     def test_trace_failure_exits_nonzero(self, monkeypatch, capsys):
         def boom(trace=None):
@@ -230,3 +279,55 @@ class TestLoadCli:
         text = experiments.format_load_cohort_ablation(grid)
         assert "Load cohorts" in text
         assert "== per-client" in text
+
+
+class TestCheckCli:
+    @pytest.mark.parametrize("argv", [
+        ["load", "routing", "--clients", "20", "--shards", "2", "--cohorts"],
+        ["trace", "table2", "--format", "folded", "--out", "traces"],
+        ["table3"],
+    ])
+    def test_identical_runs_pass_and_keep_the_files(self, argv, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "[check: both runs wrote identical stdout" in out
+        assert "regenerated in" not in out
+        if argv[0] == "load":
+            assert (tmp_path / "BENCH_load.json").exists()
+        if argv[0] == "trace":
+            assert (tmp_path / "traces" / "trace-table2.folded").exists()
+
+    def test_one_differing_byte_fails_and_names_the_file(self, tmp_path,
+                                                         monkeypatch, capsys):
+        from repro.load import report
+
+        real, calls = report.bench_json, []
+
+        def second_run_differs(result):
+            calls.append(None)
+            text = real(result)
+            return text if len(calls) == 1 else text[:-1] + " "
+
+        monkeypatch.setattr(report, "bench_json", second_run_differs)
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", "load", "routing", "--clients", "10", "--out", "r.json"]
+        assert main(argv) == 1
+        assert "r.json" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_failing_command_fails_the_check(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "health", "routing", "--shards", "1",
+                     "--fault", "shard_crash"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["check", "check", "table2"],
+        ["check", "load", "routing", "--out", "/abs/report.json"],
+        ["check", "table2", "--smoke"],
+    ])
+    def test_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

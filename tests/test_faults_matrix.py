@@ -61,7 +61,12 @@ def test_network_faults_always_recover(matrix, scenario, fault_class):
     assert cell["outcome"] == "ok", cell
 
 
-# (outcome, faults_injected) of every cell at the two CI seeds.  The
+# (outcome, faults_injected) of every cell at the two CI seeds.  The two
+# typed cells are intended fail-closed outcomes (EXPERIMENTS.md A9):
+# Tor x ocall_fail loses two ocall:recv_packets, leaving too few relays,
+# so tor/client.py select_path raises TorError("not enough relays...");
+# middlebox x mac_corrupt corrupts one channel:initiator record during
+# provisioning, failing the mbox-client process (NetworkError).  The
 # log digest is deliberately not pinned: Writer.varint and
 # SchnorrSignature.encode write integers at minimal width, so some
 # datagram lengths depend on key values, and a change to key generation

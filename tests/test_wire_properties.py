@@ -6,19 +6,16 @@ properties here — encode/decode identity for random values, nested
 structures, and a ProtocolError (never an IndexError or silent
 garbage) on every truncation — underwrite all of them.
 
-The hypothesis profile is derandomized so the suite stays
-deterministic, per the repo's reproducibility rule.
+The suite-wide hypothesis profile (tests/conftest.py) is derandomized
+so these stay deterministic, per the repo's reproducibility rule.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.wire import Reader, Writer
-
-settings.register_profile("repro", derandomize=True, max_examples=60)
-settings.load_profile("repro")
 
 _UINTS = {
     "u8": 1 << 8,

@@ -1,8 +1,9 @@
 """Ablation: switchless transitions vs ordinary enclave crossings.
 
-The switchless call queue (``repro.sgx.switchless``) replaces the two
-~10K-cycle SGX instructions of each ocall/packet-I/O crossing with a
-shared-memory request slot serviced by an untrusted worker.  This
+The switchless call queue — the synchronous mode of
+``repro.sgx.rings.RingPair`` — replaces the two ~10K-cycle SGX
+instructions of each ocall/packet-I/O crossing with a shared-memory
+request slot serviced by an untrusted worker.  This
 ablation reruns the Table 2 methodology with the queue off and on:
 
 * a 100-ocall burst — the per-call crossing cost the queue eliminates

@@ -88,32 +88,22 @@ class CostModel:
     enclave_alloc_normal: int = 11_500
     trampoline_normal: int = 450              # per EENTER/EEXIT pair
 
-    # ---- switchless transitions (Svenningsson et al.; Intel SDK
-    # "switchless mode").  A switchless call replaces the two ~10K-cycle
-    # SGX instructions of a crossing with a request slot written to
-    # untrusted shared memory and a worker on the far side that polls
-    # it.  The costs: marshalling one request/response through a slot
-    # (caller side), one worker poll pass, and the penalty paid when no
-    # worker slot is available and the call degrades to a genuine
-    # crossing (queue-management bookkeeping on top of the normal
-    # trampoline).  Magnitudes follow the switchless literature's
-    # "hundreds of cycles instead of tens of thousands" finding.
+    # ---- crossing amortization: switchless queues and async rings
+    # (Svenningsson et al.; Intel SDK "switchless mode").  Both replace
+    # the two ~10K-cycle SGX instructions of a crossing with descriptors
+    # written to a ring in untrusted shared memory and a worker on the
+    # far side that polls it; magnitudes follow the switchless
+    # literature's "hundreds of cycles instead of tens of thousands"
+    # finding.  A synchronous switchless slot carries the response the
+    # caller spins on, so it costs more than an async submission
+    # descriptor and needs no separate completion read.  The async
+    # worker's polling is adaptive — it spins a modeled budget waiting
+    # for more work, then sleeps, and a submission that finds it asleep
+    # pays a doorbell (futex-wake-style syscall) to rouse it.  A full
+    # ring either blocks until the worker drains it or falls back to one
+    # genuine crossing that drains everything; that crossing pays
+    # ring-management bookkeeping on top of the normal trampoline.
     switchless_slot_normal: int = 400         # write request + read response
-    switchless_poll_normal: int = 150         # one worker poll pass
-    switchless_fallback_normal: int = 900     # give-up-and-cross bookkeeping
-
-    # ---- async I/O rings (switchless v2; Svenningsson et al.) ----
-    # Paired submission/completion rings decouple posting a request
-    # from harvesting its result: the caller writes a descriptor and
-    # moves on, a worker drains a whole batch per poll pass, and the
-    # caller reads completions later.  The submit/reap descriptors are
-    # cheaper than a synchronous switchless slot (no response spin is
-    # folded in); the worker's polling is adaptive — it spins a modeled
-    # budget waiting for more work, then sleeps, and a submission that
-    # finds it asleep pays a doorbell (futex-wake-style syscall) to
-    # rouse it.  A full submission ring either blocks-and-charges until
-    # the worker drains it or falls back to one genuine crossing that
-    # drains everything, per the ring's backpressure mode.
     ring_submit_normal: int = 300             # write one submission descriptor
     ring_reap_normal: int = 120               # read one completion descriptor
     ring_poll_normal: int = 150               # one worker harvest pass

@@ -708,7 +708,8 @@ def run_fault_scenario(scenario: str) -> str:
         # lost_completion class can lose; epc_dpi=True backs the DPI
         # automaton with real EPC pages so the paging_storm class has
         # resident rows to evict (the scan must then fault them back
-        # in, byte-identically, mid-flow).
+        # in, byte-identically, mid-flow).  The pipelined client lets
+        # records batch up in the rings.
         result = MiddleboxScenario(
             n_middleboxes=2,
             rules=[("r", b"NOMATCH", "alert")],
@@ -716,7 +717,7 @@ def run_fault_scenario(scenario: str) -> str:
             switchless=True,
             rings=True,
             epc_dpi=True,
-        ).run([b"hello", b"fault-injection"])
+        ).run([b"hello", b"fault-injection"], pipeline=True)
         return _fingerprint((result.replies, result.blocked))
     raise ReproError(f"unknown fault scenario {scenario!r}")
 

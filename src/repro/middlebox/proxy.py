@@ -112,23 +112,14 @@ class MiddleboxNode:
                 self._end_flow(flow_id, direction)
                 return
             try:
-                verdict, _alerts = self._hot_ecall(
+                verdict = self._hot_ecall(
                     "inspect_record", flow_id, direction, message
                 )
-            except ReproError:
-                # The inspection ecall itself failed (injected platform
-                # fault, crashed enclave).  The operator's knob decides:
-                # fail-open forwards uninspected traffic (availability),
-                # fail-closed drops the flow (security).
-                self.inspect_failures += 1
-                verdict = "forward" if self.failure_policy == "open" else "block"
-            if verdict == "block":
-                # Kill both legs of the flow.
-                source.close()
-                sink.close()
+            except ReproError as exc:
+                verdict = exc
+            if not self._apply_verdict(verdict, message, source, sink):
                 self._end_flow(flow_id, None)
                 return
-            sink.send_message(message)
 
     def _pump_rings(
         self,
@@ -190,19 +181,38 @@ class MiddleboxNode:
         """Reap a batch's verdicts in order; False when the flow died."""
         for ticket, message in batch:
             try:
-                verdict, _alerts = self.enclave.ecall_reap(ticket)
-            except ReproError:
-                self.inspect_failures += 1
-                verdict = "forward" if self.failure_policy == "open" else "block"
-            if verdict == "block":
-                source.close()
-                sink.close()
+                verdict = self.enclave.ecall_reap(ticket)
+            except ReproError as exc:
+                verdict = exc
+            if not self._apply_verdict(verdict, message, source, sink):
                 return False
-            try:
-                sink.send_message(message)
-            except NetworkError:
-                # The other pump tore the flow down (block verdict)
-                # while this batch was in flight; drop the remainder.
-                source.close()
-                return False
+        return True
+
+    def _apply_verdict(self, verdict, message, source, sink) -> bool:
+        """Block or forward one inspected record; False when the flow died.
+
+        ``verdict`` is the ``(verdict, alerts)`` pair from
+        ``inspect_record``, or the ``repro.errors`` exception that
+        inspection raised (injected platform fault, crashed enclave).
+        For a failed inspection the operator's knob decides: fail-open
+        forwards uninspected traffic (availability), fail-closed drops
+        the flow (security).
+        """
+        if isinstance(verdict, ReproError):
+            self.inspect_failures += 1
+            action = "forward" if self.failure_policy == "open" else "block"
+        else:
+            action = verdict[0]
+        if action == "block":
+            # Kill both legs of the flow.
+            source.close()
+            sink.close()
+            return False
+        try:
+            sink.send_message(message)
+        except NetworkError:
+            # The other pump tore the flow down (block verdict) while
+            # this record was in flight; drop the rest of the flow.
+            source.close()
+            return False
         return True

@@ -87,7 +87,6 @@ class MiddleboxScenario:
         )
         self.seed = seed
         self.bilateral = bilateral
-        self.rings = rings
         self.ring_depth = ring_depth
         self.rules = rules or [("r-exfil", b"SECRET-TOKEN", "alert")]
 
@@ -207,7 +206,7 @@ class MiddleboxScenario:
         self,
         payloads: List[bytes],
         provision: bool = True,
-        pipeline: Optional[bool] = None,
+        pipeline: bool = False,
     ) -> ScenarioResult:
         """Run the scenario.
 
@@ -215,11 +214,8 @@ class MiddleboxScenario:
         (the shape that lets records accumulate in a middlebox's
         submission ring, so a depth-D batch actually forms); the
         default lock-step client awaits each reply before the next
-        send.  ``pipeline=None`` pipelines exactly when the chain runs
-        with async rings.
+        send.
         """
-        if pipeline is None:
-            pipeline = self.rings
         replies: List[bytes] = []
         provisioned: List[str] = []
         failures: List[str] = []

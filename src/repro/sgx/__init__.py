@@ -46,7 +46,6 @@ from repro.sgx.report import Report, TargetInfo
 from repro.sgx.rings import RingPair, RingStats
 from repro.sgx.runtime import EnclaveContext, EnclaveProgram
 from repro.sgx.sigstruct import SigStruct, sign_enclave
-from repro.sgx.switchless import SwitchlessQueue, SwitchlessStats
 
 __all__ = [
     "SgxPlatform",
@@ -63,8 +62,6 @@ __all__ = [
     "PageType",
     "UserInstruction",
     "PrivilegedInstruction",
-    "SwitchlessQueue",
-    "SwitchlessStats",
     "RingPair",
     "RingStats",
     "KeyName",

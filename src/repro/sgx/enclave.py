@@ -144,16 +144,20 @@ class Enclave:
     def enable_switchless_ecalls(
         self, capacity: int = 64, poll_interval: int = 8
     ) -> Any:
-        """Attach a switchless ecall queue serviced by an in-enclave
-        worker thread; :meth:`ecall_switchless` then routes through it.
-        Returns the queue (its ``stats`` is what the ablation reports).
-        Re-enabling replaces the queue, draining any pending backlog
-        on the old one first.
+        """Attach a switchless ecall queue — a sync-mode ring serviced
+        by an in-enclave worker thread; :meth:`ecall_switchless` then
+        routes through it.  Returns the ring (its ``stats`` is what
+        the ablations report).  Re-enabling replaces the queue,
+        draining any pending backlog on the old one first.
         """
         if self._switchless_ecalls is not None:
             self._switchless_ecalls.flush()
-        self._switchless_ecalls = self._platform.create_switchless_queue(
-            self, direction="ecall", capacity=capacity, poll_interval=poll_interval
+        self._switchless_ecalls = self._platform.create_ring(
+            self,
+            direction="ecall",
+            capacity=capacity,
+            harvest_depth=poll_interval,
+            mode="sync",
         )
         return self._switchless_ecalls
 

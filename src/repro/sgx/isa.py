@@ -7,10 +7,10 @@ launch, which the paper's steady-state measurements exclude (they are
 still counted, in a separate bucket, so launch experiments can report
 them).
 
-Switchless calls (:mod:`repro.sgx.switchless`) deliberately bypass
-this module: their whole point is that a boundary call serviced by a
-shared-memory worker executes *no* ENCLU leaf at all, so a switchless
-call charges no SGX instructions here — only its fallback path (a
+Switchless calls and async rings (:mod:`repro.sgx.rings`) deliberately
+bypass this module: their whole point is that a boundary call serviced
+by a shared-memory worker executes *no* ENCLU leaf at all, so it
+charges no SGX instructions here — only a fallback or recovery path (a
 genuine crossing) comes back through :func:`execute_user`.
 """
 

@@ -204,35 +204,7 @@ class SgxPlatform:
             raise MeasurementError("quoting enclave not signed by the authority")
         self.quoting_enclave.ecall("install_attestation_key", self._member_key)
 
-    # -- switchless call queues ----------------------------------------------
-
-    def create_switchless_queue(
-        self,
-        enclave: Enclave,
-        direction: str = "ocall",
-        capacity: int = 64,
-        poll_interval: int = 8,
-    ):
-        """Set up a shared-memory switchless call queue for ``enclave``.
-
-        ``direction="ocall"`` gives the enclave a queue serviced by an
-        untrusted worker thread (used by ``EnclaveContext.ocall`` and
-        the packet-I/O methods); ``direction="ecall"`` gives untrusted
-        code a queue serviced by an in-enclave worker (used by
-        ``Enclave.ecall_switchless``).
-        """
-        from repro.sgx.switchless import SwitchlessQueue
-
-        return SwitchlessQueue(
-            platform=self,
-            direction=direction,
-            enclave_domain=enclave.domain,
-            capacity=capacity,
-            poll_interval=poll_interval,
-            name=f"{enclave.name}-{direction}",
-        )
-
-    # -- async I/O rings (switchless v2) -------------------------------------
+    # -- crossing amortization: switchless queues and async rings -----------
 
     def create_ring(
         self,
@@ -243,15 +215,17 @@ class SgxPlatform:
         spin_budget: int = 4,
         backpressure: str = "fallback",
         worker=None,
+        mode: str = "async",
     ):
         """Set up paired submission/completion rings for ``enclave``.
 
-        ``direction="ocall"`` gives the enclave async ocalls serviced
-        by an adaptive untrusted worker (used by
-        ``EnclaveContext.ocall_submit``/``ocall_reap``);
-        ``direction="ecall"`` gives untrusted code async ecalls whose
-        harvest crossing drains the whole ring (used by
-        ``Enclave.ecall_submit``/``ecall_reap``).
+        ``direction="ocall"`` gives the enclave ocalls serviced by an
+        untrusted worker; ``direction="ecall"`` gives untrusted code
+        ecalls serviced inside the enclave.  ``mode="async"`` rings
+        back ``EnclaveContext.ocall_submit``/``ocall_reap`` and
+        ``Enclave.ecall_submit``/``ecall_reap``; ``mode="sync"`` rings
+        are the switchless queues behind ``switchless=True`` and
+        ``Enclave.ecall_switchless``.
         """
         from repro.sgx.rings import RingPair
 
@@ -265,6 +239,7 @@ class SgxPlatform:
             backpressure=backpressure,
             worker=worker,
             name=f"{enclave.name}-{direction}",
+            mode=mode,
         )
 
     # -- heap growth (called from EnclaveContext.alloc) ----------------------

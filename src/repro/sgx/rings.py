@@ -1,51 +1,71 @@
-"""Exitless async I/O rings: switchless v2 (paired submission/completion).
+"""Crossing amortization: paired submission/completion rings.
 
-PR 1's :class:`~repro.sgx.switchless.SwitchlessQueue` removes the
-boundary crossing from *synchronous* call/response pairs, but the
-caller still stalls on every in-flight call: submit, spin, read the
-response, repeat.  Svenningsson et al. ("Speeding up enclave
-transitions for IO-intensive applications") take the next step for
-IO-heavy enclaves: a *submission ring* the caller posts request
-descriptors into without waiting, and a *completion ring* it harvests
-results from later.  N requests overlap; the worker drains a whole
-batch per poll pass; and even with no worker thread at all the design
-stays exitless-ish — one genuine crossing drains the entire ring, so
-N calls cost 1/N crossings each instead of one.
+The paper's Tables 1/2/4 show boundary crossings — two ~10K-cycle SGX
+instructions plus a trampoline per ocall/ecall — dominating the
+overhead of SGX network applications, and Table 2 shows batching
+amortizes them.  Switchless calls (Intel SDK "switchless mode";
+HotCalls) and exitless async calls (Svenningsson et al., "Speeding up
+enclave transitions for IO-intensive applications") take the next
+step: the caller writes request descriptors into a bounded ring in
+untrusted shared memory and a worker on the *other* side of the
+boundary drains a batch per poll pass.  No EENTER/EEXIT/ERESUME
+executes while a worker is live, and even with no worker at all one
+genuine crossing drains the entire ring, so N calls cost 1/N crossings
+each instead of one.
 
-:class:`RingPair` models that mechanism on the repo's cost accounting.
+:class:`RingPair` models that mechanism on the repo's cost accounting,
+in one of two modes that differ only in what a descriptor costs:
+
+* ``mode="async"`` — exitless async calls.  :meth:`RingPair.submit`
+  posts a descriptor and returns a ticket without waiting;
+  :meth:`RingPair.reap` / :meth:`RingPair.reap_all` read completions
+  back later (``ring_submit_normal`` plus ``ring_reap_normal``).
+* ``mode="sync"`` — switchless calls, the depth-1, always-awake case.
+  :meth:`RingPair.call` enqueues, harvests and reads in one step; the
+  slot carries the response the caller spins on
+  (``switchless_slot_normal``), so there is no separate reap.
+  :meth:`RingPair.post` is fire-and-forget and never reaped.
+
 One class serves both directions:
 
-* ``direction="ocall"`` — the enclave submits async ocalls serviced by
-  an untrusted host worker (``EnclaveContext.ocall_submit`` /
-  ``ocall_reap``).  The worker defaults to *running*: the host has
-  spare cores, and its polling is adaptive — it spins a modeled budget
-  (``spin_budget`` iterations, ``ring_spin_normal`` each) waiting for
-  more submissions, then sleeps; a submission that finds it asleep
-  pays a doorbell (``ring_wakeup_normal``) to rouse it.
-* ``direction="ecall"`` — untrusted code submits async ecalls serviced
-  inside the enclave (``Enclave.ecall_submit`` / ``ecall_reap``).  The
-  worker defaults to *not running*: a dedicated in-enclave polling
-  thread would burn a TCS and a core, so instead the harvest itself
-  pays one genuine crossing that drains every posted submission —
-  crossings per call fall as 1/depth, which is exactly the grid
-  ablation A14 measures on the middlebox record path.
+* ``direction="ocall"`` — the enclave is the caller and the worker is
+  an untrusted host thread (``EnclaveContext.ocall_submit`` /
+  ``ocall_reap``; ``ocall``, ``send_packets`` and ``recv_packets``
+  with ``switchless=True``).  An async worker defaults to *running*:
+  the host has spare cores, and its polling is adaptive — it spins a
+  modeled budget (``spin_budget`` iterations, ``ring_spin_normal``
+  each) waiting for more submissions, then sleeps; a submission that
+  finds it asleep pays a doorbell (``ring_wakeup_normal``) to rouse it.
+* ``direction="ecall"`` — untrusted code is the caller and the worker
+  runs inside the enclave (``Enclave.ecall_submit`` / ``ecall_reap``;
+  ``Enclave.ecall_switchless``).  An async worker defaults to *not
+  running*: a dedicated in-enclave polling thread would burn a TCS and
+  a core, so instead the harvest itself pays one genuine crossing that
+  drains every posted submission — crossings per call fall as 1/depth,
+  which is exactly the grid ablation A14 measures on the middlebox
+  record path.
 
-Backpressure when the submission ring fills is deterministic either
-way: ``backpressure="block"`` charges a modeled spin-wait while a live
-worker drains the ring (no crossing), ``backpressure="fallback"``
-degrades to one genuine crossing that drains everything.
+A sync worker is always awake: it never spins down, so it needs no
+doorbell.  Backpressure when the submission ring fills is
+deterministic either way: ``backpressure="block"`` drains through a
+live worker with no crossing (an async caller is charged a modeled
+spin-wait; a sync caller already spins on its slot),
+``backpressure="fallback"`` degrades to one genuine crossing that
+drains everything.  A sync ring always blocks.
 
-Fault hooks (:mod:`repro.faults`): ``ring_worker_stall`` makes a
-harvest pass miss — the operation degrades to the fallback crossing,
-which drains the ring, so results are unchanged; ``lost_completion``
-loses a completion-ring write *after* the work ran — the reaper
-detects the still-pending entry and pays a recovery crossing to fetch
-the result straight from the slot (the work is never re-executed, so
-side effects stay exactly-once).
+Fault hooks (:mod:`repro.faults`): ``worker_stall`` stalls a sync
+:meth:`RingPair.call`, which then rides the fallback crossing with no
+slot charge; ``ring_worker_stall`` makes an async harvest pass miss —
+the operation degrades to the fallback crossing, which drains the
+ring, so results are unchanged; ``lost_completion`` loses an async
+completion-ring write *after* the work ran — the reaper detects the
+still-pending entry and pays a recovery crossing to fetch the result
+straight from the slot (the work is never re-executed, so side effects
+stay exactly-once).
 
 Results crossing *into* trusted code pass the caller-side ``validate``
 hook before any enclave code touches them — the same Iago-attack
-discipline as ordinary and switchless ocall returns (paper, Section 6).
+discipline as ordinary ocall returns (paper, Section 6).
 """
 
 from __future__ import annotations
@@ -57,15 +77,18 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro import faults, obs
 from repro.cost import context as cost_context
-from repro.errors import SgxError
+from repro.errors import ReproError, SgxError
 from repro.sgx.isa import UserInstruction, execute_user
 
 __all__ = ["RingPair", "RingStats"]
 
+#: mode -> the CostModel field one descriptor write charges.
+_DESCRIPTOR_COST = {"async": "ring_submit_normal", "sync": "switchless_slot_normal"}
+
 
 @dataclasses.dataclass
 class RingStats:
-    """Telemetry from one ring pair (what ablation A14 reports)."""
+    """Telemetry from one ring pair (what ablations A8 and A14 report)."""
 
     submitted: int = 0           #: descriptors posted to the submission ring
     completed: int = 0           #: entries executed by the worker/harvest
@@ -82,19 +105,17 @@ class RingStats:
     max_depth: int = 0           #: high-water mark of in-flight entries
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class _Entry:
     """One submission descriptor and its (eventual) completion."""
 
-    seq: int
     func: Callable[..., Any]
     args: Tuple[Any, ...]
     kwargs: dict
     validate: Optional[Callable[[Any], Any]] = None
+    seq: int = -1             #: the ticket, assigned when a slot is taken
     done: bool = False        #: completion visible in the completion ring
     lost: bool = False        #: executed, but the completion write was lost
-    cancelled: bool = False
-    reaped: bool = False
     result: Any = None
     error: Optional[BaseException] = None
 
@@ -116,9 +137,12 @@ class RingPair:
         backpressure: str = "fallback",
         worker: Optional[bool] = None,
         name: str = "",
+        mode: str = "async",
     ) -> None:
         if direction not in self.DIRECTIONS:
             raise SgxError(f"unknown ring direction {direction!r}")
+        if mode not in _DESCRIPTOR_COST:
+            raise SgxError(f"unknown ring mode {mode!r}")
         if backpressure not in self.BACKPRESSURE_MODES:
             raise SgxError(f"unknown ring backpressure mode {backpressure!r}")
         if capacity <= 0:
@@ -130,28 +154,31 @@ class RingPair:
         self._platform = platform
         self.direction = direction
         self.enclave_domain = enclave_domain
+        self.synchronous = mode == "sync"
+        self._descriptor_cost = _DESCRIPTOR_COST[mode]
         self.capacity = capacity
         #: a live worker drains the ring every this-many submissions
         #: (models its polling period relative to caller progress).
         self.harvest_depth = harvest_depth
-        self.spin_budget = spin_budget
-        self.backpressure = backpressure
+        self.spin_budget = 0 if self.synchronous else spin_budget
+        self.backpressure = "block" if self.synchronous else backpressure
         self.name = name or f"rings-{direction}"
-        # An in-enclave polling worker would burn a TCS + core, so the
-        # ecall direction defaults to the worker-less exitless regime
+        # An in-enclave polling worker would burn a TCS + core, so an
+        # async ecall ring defaults to the worker-less exitless regime
         # (harvest = one crossing draining the whole ring).
-        self._worker_running = worker if worker is not None else direction == "ocall"
+        if worker is None:
+            worker = self.synchronous or direction == "ocall"
+        self._worker_running = worker
         self._worker_asleep = False
-        self._spin_credit = spin_budget
+        self._spin_credit = self.spin_budget
         self._subs_since_harvest = 0
         self._next_seq = 0
+        #: submitted-and-not-yet-reaped-or-cancelled entries, by ticket
+        #: in submission order (drives the in-order walk of reap_all).
         self._entries: Dict[int, _Entry] = {}
         #: unserviced submission descriptors, seq order (the ring proper;
         #: slot index is seq % capacity — wrap-around is implicit).
-        self._submission: Deque[int] = deque()
-        #: submitted-and-not-yet-reaped seqs, seq order (drives the
-        #: in-order walk of reap_all; reaped/cancelled removed lazily).
-        self._order: Deque[int] = deque()
+        self._submission: Deque[_Entry] = deque()
         self.stats = RingStats()
 
     # -- worker lifecycle --------------------------------------------------
@@ -182,11 +209,7 @@ class RingPair:
     @property
     def in_flight(self) -> int:
         """Submitted entries not yet reaped or cancelled."""
-        return sum(
-            1
-            for seq in self._order
-            if not self._entries[seq].reaped and not self._entries[seq].cancelled
-        )
+        return len(self._entries)
 
     # -- the async call interface ------------------------------------------
 
@@ -206,48 +229,9 @@ class RingPair:
         crossing.  ``validate`` runs on the caller's side at reap time,
         before the result is returned.
         """
-        kwargs = {} if kwargs is None else kwargs
-        with self._context():
-            model = cost_context.current_model()
-            if self._worker_running and self._worker_asleep:
-                # Doorbell: futex-wake the slept worker before posting.
-                cost_context.charge_normal(model.ring_wakeup_normal)
-                self._worker_asleep = False
-                self._spin_credit = self.spin_budget
-                self.stats.wakeups += 1
-                obs.instant("ring_worker_wake", ring=self.name)
-                obs.metric_count("ring_doorbells")
-            if len(self._submission) >= self.capacity:
-                self._overflow()
-            self._platform.accountant.charge_switchless()
-            cost_context.charge_normal(model.ring_submit_normal)
-            seq = self._next_seq
-            self._next_seq += 1
-            entry = _Entry(seq, func, args, kwargs, validate)
-            self._entries[seq] = entry
-            self._submission.append(seq)
-            self._order.append(seq)
-            self.stats.submitted += 1
-            self.stats.max_depth = max(self.stats.max_depth, len(self._submission))
-            obs.instant("ring_submit", ring=self.name, ticket=seq)
-            obs.metric_gauge("ring_occupancy", len(self._submission))
-            self._subs_since_harvest += 1
-            if self._worker_running:
-                if self._subs_since_harvest >= self.harvest_depth:
-                    self._harvest()
-                elif self._spin_credit > 0:
-                    # The worker burns one spin iteration waiting for
-                    # more work to batch up.
-                    accountant = self._platform.accountant
-                    with accountant.attribute(self._worker_domain()):
-                        cost_context.charge_normal(model.ring_spin_normal)
-                    self.stats.spins += 1
-                    self._spin_credit -= 1
-                    if self._spin_credit == 0:
-                        self._worker_asleep = True
-                        self.stats.sleeps += 1
-                        obs.instant("ring_worker_sleep", ring=self.name)
-            return seq
+        entry = _Entry(func, args, kwargs or {}, validate)
+        self._post(entry, keep=True)
+        return entry.seq
 
     def reap(self, ticket: int) -> Any:
         """Read one completion; services the ring first if needed.
@@ -257,14 +241,13 @@ class RingPair:
         or already-reaped tickets.
         """
         with self._context():
-            entry = self._entries.get(ticket)
+            entry = self._entries.pop(ticket, None)
             if entry is None:
-                raise SgxError(f"ring '{self.name}': unknown ticket {ticket}")
-            if entry.cancelled:
-                raise SgxError(f"ring '{self.name}': ticket {ticket} was cancelled")
-            if entry.reaped:
-                raise SgxError(f"ring '{self.name}': ticket {ticket} already reaped")
-            self._ensure_serviced(entry)
+                stale = 0 <= ticket < self._next_seq
+                why = "was reaped or cancelled" if stale else "is unknown"
+                raise SgxError(f"ring '{self.name}': ticket {ticket} {why}")
+            if not (entry.done or entry.lost):
+                self._service_or_fallback()
             return self._read_completion(entry)
 
     def reap_all(self) -> List[Tuple[int, Any]]:
@@ -278,14 +261,10 @@ class RingPair:
         with self._context():
             if self._submission:
                 self._service_or_fallback()
-            results: List[Tuple[int, Any]] = []
-            while self._order:
-                entry = self._entries[self._order[0]]
-                if entry.reaped or entry.cancelled:
-                    self._order.popleft()
-                    continue
-                results.append((entry.seq, self._read_completion(entry)))
-            return results
+            return [
+                (seq, self._read_completion(self._entries.pop(seq)))
+                for seq in list(self._entries)
+            ]
 
     def cancel(self, ticket: int) -> bool:
         """Withdraw a still-pending submission; True on success.
@@ -296,10 +275,10 @@ class RingPair:
         the ring's live bookkeeping.
         """
         entry = self._entries.get(ticket)
-        if entry is None or entry.done or entry.lost or entry.cancelled or entry.reaped:
+        if entry is None or entry.done or entry.lost:
             return False
-        entry.cancelled = True
-        self._submission.remove(ticket)
+        del self._entries[ticket]
+        self._submission.remove(entry)
         self.stats.cancelled += 1
         return True
 
@@ -310,6 +289,57 @@ class RingPair:
             if outstanding:
                 self._service_or_fallback()
             return outstanding
+
+    # -- the sync call interface -------------------------------------------
+
+    def call(
+        self,
+        func: Callable[..., Any],
+        args: Tuple[Any, ...] = (),
+        kwargs: Optional[dict] = None,
+        validate: Optional[Callable[[Any], Any]] = None,
+    ) -> Any:
+        """One synchronous switchless call: enqueue, harvest, read.
+
+        The caller needs the result, so it busy-waits on the response
+        word while the worker services the slot — zero crossings.  With
+        no worker running (or an injected ``worker_stall``) the call
+        degrades to one genuine crossing, which also drains any
+        backlog.  ``validate`` runs on the caller's side of the
+        boundary before the result is returned — for the ocall
+        direction that is the enclave's Iago check on untrusted output.
+        """
+        entry = _Entry(func, args, kwargs or {})
+        with self._context():
+            plan = faults.current_plan()
+            stalled = plan is not None and plan.decide(
+                faults.WORKER_STALL, f"switchless:{self.direction}:{self.name}"
+            )
+            if stalled or not self._worker_running:
+                self._fallback_harvest(entry)
+            else:
+                self._enqueue(entry)
+                self._harvest()
+            if entry.error is not None:
+                raise entry.error
+        return validate(entry.result) if validate is not None else entry.result
+
+    def post(
+        self,
+        func: Callable[..., Any],
+        args: Tuple[Any, ...] = (),
+        kwargs: Optional[dict] = None,
+    ) -> None:
+        """Fire-and-forget submission (the ``send_packets`` shape).
+
+        The caller does not wait and never reaps: the slot is drained on
+        the worker's next poll pass (every ``harvest_depth``
+        submissions), by a later :meth:`call`, or by :meth:`flush`.
+        When every slot is occupied and no worker is running, one
+        genuine crossing drains the entire backlog — N posts cost at
+        most one crossing.
+        """
+        self._post(_Entry(func, args, kwargs or {}))
 
     # -- internals ---------------------------------------------------------
 
@@ -331,8 +361,57 @@ class RingPair:
     def _site(self) -> str:
         return f"rings:{self.direction}:{self.name}"
 
+    def _post(self, entry: _Entry, keep: bool = False) -> None:
+        """Enqueue without waiting, then advance the worker's cadence."""
+        with self._context():
+            model = cost_context.current_model()
+            if self._worker_running and self._worker_asleep:
+                # Doorbell: futex-wake the slept worker before posting.
+                cost_context.charge_normal(model.ring_wakeup_normal)
+                self._worker_asleep = False
+                self._spin_credit = self.spin_budget
+                self.stats.wakeups += 1
+                obs.instant("ring_worker_wake", ring=self.name)
+                obs.metric_count("ring_doorbells")
+            self._enqueue(entry, keep)
+            self._subs_since_harvest += 1
+            if not self._worker_running:
+                return
+            if self._subs_since_harvest >= self.harvest_depth:
+                self._harvest()
+            elif self._spin_credit > 0:
+                # The worker burns one spin iteration waiting for more
+                # work to batch up.
+                with self._platform.accountant.attribute(self._worker_domain()):
+                    cost_context.charge_normal(model.ring_spin_normal)
+                self.stats.spins += 1
+                self._spin_credit -= 1
+                if self._spin_credit == 0:
+                    self._worker_asleep = True
+                    self.stats.sleeps += 1
+                    obs.instant("ring_worker_sleep", ring=self.name)
+
+    def _enqueue(self, entry: _Entry, keep: bool = False) -> None:
+        """Caller side: write one descriptor into a free slot; ``keep``
+        retains the entry under its ticket until it is reaped."""
+        if len(self._submission) >= self.capacity:
+            self._overflow()
+        self._platform.accountant.charge_switchless()
+        cost_context.charge_normal(
+            getattr(cost_context.current_model(), self._descriptor_cost)
+        )
+        entry.seq = self._next_seq
+        self._next_seq += 1
+        if keep:
+            self._entries[entry.seq] = entry
+        self._submission.append(entry)
+        self.stats.submitted += 1
+        self.stats.max_depth = max(self.stats.max_depth, len(self._submission))
+        obs.instant("ring_submit", ring=self.name, ticket=entry.seq)
+        obs.metric_gauge("ring_occupancy", len(self._submission))
+
     def _overflow(self) -> None:
-        """Submission ring full: block-and-charge or cross, both exact."""
+        """Submission ring full: block-and-drain or cross, both exact."""
         self.stats.overflows += 1
         obs.instant(
             "ring_overflow",
@@ -341,13 +420,14 @@ class RingPair:
             mode=self.backpressure,
         )
         if self.backpressure == "block" and self._worker_running:
-            # The caller spins until the worker's drain frees the slots:
-            # one modeled spin iteration per occupied slot, no crossing.
-            backlog = len(self._submission)
-            cost_context.charge_normal(
-                cost_context.current_model().ring_spin_normal * backlog
-            )
-            self.stats.overflow_spin += backlog
+            if not self.synchronous:
+                # The caller spins until the worker's drain frees the
+                # slots: one modeled spin iteration per occupied slot.
+                backlog = len(self._submission)
+                cost_context.charge_normal(
+                    cost_context.current_model().ring_spin_normal * backlog
+                )
+                self.stats.overflow_spin += backlog
             self._harvest()
         else:
             self._fallback_harvest()
@@ -358,11 +438,6 @@ class RingPair:
         else:
             self._fallback_harvest()
 
-    def _ensure_serviced(self, entry: _Entry) -> None:
-        if entry.done or entry.lost:
-            return
-        self._service_or_fallback()
-
     def _stalled(self) -> bool:
         plan = faults.current_plan()
         return plan is not None and plan.decide(
@@ -371,130 +446,102 @@ class RingPair:
 
     def _harvest(self) -> None:
         """One worker harvest pass: drain the submission ring, no crossing."""
-        if self._stalled():
+        if not self.synchronous and self._stalled():
             # The worker missed this pass (injected deschedule): the
             # triggering operation degrades to a genuine crossing.
             self._fallback_harvest()
             return
-        model = cost_context.current_model()
-        accountant = self._platform.accountant
         self.stats.polls += 1
         self._subs_since_harvest = 0
         self._spin_credit = self.spin_budget
-        plan = faults.current_plan()
-        with accountant.attribute(self._worker_domain()):
+        with self._platform.accountant.attribute(self._worker_domain()):
             with obs.span(f"rings:harvest:{self.name}", kind="rings"):
-                cost_context.charge_normal(model.ring_poll_normal)
-                while self._submission:
-                    entry = self._entries[self._submission.popleft()]
-                    if entry.cancelled:
-                        continue
-                    self._execute(entry)
-                    if plan is not None and plan.decide(
-                        faults.LOST_COMPLETION, self._site()
-                    ):
-                        # The work ran; only the completion-ring write
-                        # is lost.  The reaper recovers it with one
-                        # direct-fetch crossing — never by re-running.
-                        entry.lost = True
-                    else:
-                        entry.done = True
+                cost_context.charge_normal(
+                    cost_context.current_model().ring_poll_normal
+                )
+                self._drain()
         obs.metric_gauge("ring_occupancy", len(self._submission))
 
-    def _fallback_harvest(self) -> None:
+    def _fallback_harvest(self, extra: Optional[_Entry] = None) -> None:
         """No worker pass available: one genuine crossing drains the ring.
 
-        The drained entries' results still travel through completion-
-        ring writes (the caller reads them at reap time), so the
-        ``lost_completion`` fault applies here exactly as it does on a
-        worker harvest pass.
+        ``extra`` (a stalled sync call) runs on the far side after the
+        backlog, without ever taking a slot.  The drained entries'
+        results still travel through completion-ring writes, so the
+        ``lost_completion`` fault applies here exactly as it does on an
+        async worker harvest pass.
         """
-        model = cost_context.current_model()
-        accountant = self._platform.accountant
         self.stats.fallback_crossings += 1
         self._subs_since_harvest = 0
         self._spin_credit = self.spin_budget
         obs.instant(
             "ring_fallback", ring=self.name, backlog=len(self._submission)
         )
-        enter, leave = (
-            (UserInstruction.EEXIT, UserInstruction.ERESUME)
-            if self.direction == "ocall"
-            else (UserInstruction.EENTER, UserInstruction.EEXIT)
-        )
-        with obs.span(f"rings:fallback:{self.name}", kind="rings"):
-            with accountant.attribute(self.enclave_domain):
-                execute_user(enter)
-                accountant.charge_crossing()
-                cost_context.charge_normal(
-                    model.trampoline_normal + model.ring_fallback_normal
-                )
-            plan = faults.current_plan()
-            with accountant.attribute(self._worker_domain()):
-                while self._submission:
-                    entry = self._entries[self._submission.popleft()]
-                    if entry.cancelled:
-                        continue
-                    self._execute(entry)
-                    if plan is not None and plan.decide(
-                        faults.LOST_COMPLETION, self._site()
-                    ):
-                        # The work ran; only the completion-ring write
-                        # is lost.  The reaper recovers it with one
-                        # direct-fetch crossing — never by re-running.
-                        entry.lost = True
-                    else:
-                        entry.done = True
-            with accountant.attribute(self.enclave_domain):
-                execute_user(leave)
+        with self._crossing("fallback"):
+            with self._platform.accountant.attribute(self._worker_domain()):
+                self._drain()
+                if extra is not None:
+                    self._execute(extra)
         obs.metric_gauge("ring_occupancy", len(self._submission))
 
-    def _execute(self, entry: _Entry) -> None:
-        from repro.errors import ReproError
+    def _drain(self) -> None:
+        """Execute every pending descriptor in order, writing completions."""
+        plan = None if self.synchronous else faults.current_plan()
+        while self._submission:
+            entry = self._submission.popleft()
+            self._execute(entry)
+            if plan is not None and plan.decide(faults.LOST_COMPLETION, self._site()):
+                # The work ran; only the completion-ring write is lost.
+                # The reaper recovers it with one direct-fetch crossing
+                # — never by re-running.
+                entry.lost = True
+            else:
+                entry.done = True
 
+    def _execute(self, entry: _Entry) -> None:
         try:
             entry.result = entry.func(*entry.args, **entry.kwargs)
         except ReproError as exc:
             # Typed failures travel the completion ring like results
-            # and re-raise at reap time on the caller's side.
+            # and re-raise on the caller's side when it reads them.
             entry.error = exc
         self.stats.completed += 1
 
-    def _recover_lost(self, entry: _Entry) -> None:
-        """Fetch a lost completion with one direct crossing."""
-        model = cost_context.current_model()
+    @contextlib.contextmanager
+    def _crossing(self, what: str) -> Iterator[None]:
+        """One genuine boundary crossing; the body runs on the far side."""
         accountant = self._platform.accountant
-        self.stats.recovery_crossings += 1
-        obs.instant(
-            "ring_completion_recovered", ring=self.name, ticket=entry.seq
-        )
         enter, leave = (
             (UserInstruction.EEXIT, UserInstruction.ERESUME)
             if self.direction == "ocall"
             else (UserInstruction.EENTER, UserInstruction.EEXIT)
         )
-        with obs.span(f"rings:recover:{self.name}", kind="rings"):
+        with obs.span(f"rings:{what}:{self.name}", kind="rings"):
             with accountant.attribute(self.enclave_domain):
                 execute_user(enter)
                 accountant.charge_crossing()
+                model = cost_context.current_model()
                 cost_context.charge_normal(
                     model.trampoline_normal + model.ring_fallback_normal
                 )
+            yield
+            with accountant.attribute(self.enclave_domain):
                 execute_user(leave)
-        entry.lost = False
-        entry.done = True
 
     def _read_completion(self, entry: _Entry) -> Any:
         if entry.lost:
-            self._recover_lost(entry)
-        if not entry.done:  # pragma: no cover — service always resolves
-            raise SgxError(
-                f"ring '{self.name}': ticket {entry.seq} still pending"
+            # Fetch the lost completion with one direct crossing.
+            self.stats.recovery_crossings += 1
+            obs.instant(
+                "ring_completion_recovered", ring=self.name, ticket=entry.seq
             )
+            with self._crossing("recover"):
+                pass
+            entry.lost = False
+            entry.done = True
         cost_context.charge_normal(
             cost_context.current_model().ring_reap_normal
         )
-        entry.reaped = True
         self.stats.reaped += 1
         obs.instant("ring_reap", ring=self.name, ticket=entry.seq)
         if entry.error is not None:

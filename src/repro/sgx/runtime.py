@@ -147,18 +147,23 @@ class EnclaveContext:
         """Attach a switchless ocall queue to this enclave.
 
         After this, ``ocall(..., switchless=True)`` and the packet-I/O
-        methods with ``switchless=True`` route through a shared-memory
-        request queue serviced by a modeled untrusted worker instead of
-        paying an EEXIT/ERESUME crossing per call.  Returns the queue
-        (its ``stats`` field is what the ablation reports).
+        methods with ``switchless=True`` route through a sync-mode
+        :class:`~repro.sgx.rings.RingPair` serviced by a modeled
+        untrusted worker instead of paying an EEXIT/ERESUME crossing
+        per call; the worker drains posted slots every
+        ``poll_interval`` posts.  Returns the ring (its ``stats`` field
+        is what ablation A8 reports).
 
         Re-enabling replaces the queue; any backlog pending on the old
         one is drained first so posted calls are never lost.
         """
         if self._switchless is not None:
             self._switchless.flush()
-        self._switchless = self._platform.create_switchless_queue(
-            self._enclave, capacity=capacity, poll_interval=poll_interval
+        self._switchless = self._platform.create_ring(
+            self._enclave,
+            capacity=capacity,
+            harvest_depth=poll_interval,
+            mode="sync",
         )
         return self._switchless
 

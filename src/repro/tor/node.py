@@ -36,26 +36,20 @@ class OnionRouterNode:
         host: Host,
         engine,
         enclave=None,
-        switchless: bool = False,
         rings: bool = False,
         ring_depth: int = 4,
     ) -> None:
         """``engine`` is a RelayCore for native mode; pass ``enclave``
         (hosting an OnionRouterEnclaveProgram) for SGX mode instead.
-        ``switchless=True`` (SGX mode only) routes the per-cell data
-        plane through the enclave's switchless ecall queue;
-        ``rings=True`` posts cells into the enclave's async ecall rings
-        instead — up to ``ring_depth`` cells ride in flight per link
-        before the pump harvests their directives, so the harvest
-        crossing is amortized over the whole batch."""
+        ``rings=True`` (SGX mode only) posts cells into the enclave's
+        async ecall rings — up to ``ring_depth`` cells ride in flight
+        per link before the pump harvests their directives, so the
+        harvest crossing is amortized over the whole batch."""
         if (engine is None) == (enclave is None):
             raise TorError("provide exactly one of engine / enclave")
         self.host = host
         self._engine: Optional[RelayCore] = engine
         self._enclave = enclave
-        self._switchless = switchless and enclave is not None
-        if self._switchless and enclave.switchless_ecalls is None:
-            enclave.enable_switchless_ecalls()
         self._rings = rings and enclave is not None
         self._ring_depth = max(1, ring_depth)
         if self._rings and enclave.ring_ecalls is None:
@@ -80,8 +74,6 @@ class OnionRouterNode:
                 # Ordering barrier: control-plane ecalls must observe
                 # every data-plane cell already posted to the rings.
                 self._drain_ring()
-            if self._switchless:
-                return self._enclave.ecall_switchless(method, *args)
             return self._enclave.ecall(method, *args)
         return getattr(self._engine, method)(*args)
 

@@ -98,7 +98,7 @@ def _app_result(app, rings, switchless, epc):
         switchless=switchless,
         rings=rings,
         epc_dpi=epc,
-    ).run([b"hello", b"fault-injection"])
+    ).run([b"hello", b"fault-injection"], pipeline=True)
     return result.replies, result.blocked
 
 

@@ -1,11 +1,11 @@
-"""Ring-conformance differential suite (the switchless-v2 contract).
+"""Ring-conformance differential suite (sync mode vs async mode).
 
 Hypothesis generates random ocall programs — interleavings of calls
 carrying their own modeled payload cost, reap barriers and flushes —
-and runs each program through BOTH boundary regimes:
+and runs each program through BOTH modes of ``RingPair``:
 
-* the **synchronous** switchless queue (PR 1): submit, spin, read;
-* the **async rings** (this PR): post N descriptors, harvest later.
+* **sync** (switchless calls): ``call`` enqueues, harvests and reads;
+* **async**: ``submit`` N descriptors, harvest and reap later.
 
 The contract asserted for every program:
 
@@ -14,7 +14,7 @@ The contract asserted for every program:
    (rings service strictly in submission order);
 3. **integer-equal cost counters modulo the modeled boundary layer** —
    subtract each arm's boundary-layer charges (computed exactly from
-   its stats x the ``CostModel`` constants, never measured) and the
+   its stats x its mode's ``CostModel`` constants, never measured) and the
    remaining payload cost must match to the instruction;
 4. **exact reconciliation** — a traced ring arm's span tree must
    account for every charged instruction (``obs.reconcile``).
@@ -23,6 +23,7 @@ Budget: 25 programs under the default hypothesis profile, scaled by
 ``--hypothesis-profile`` (see tests/conformance/harness.py).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,6 @@ from repro.cost import DEFAULT_MODEL
 from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
 from repro.sgx import RingPair, SgxPlatform
-from repro.sgx.switchless import SwitchlessQueue
 from tests.conformance.harness import examples
 
 ENCLAVE_DOMAIN = "enclave:conformance"
@@ -80,9 +80,9 @@ def _payload(log, value):
 
 
 def _run_sync(program):
-    """The PR 1 regime: every call completes synchronously, inline."""
+    """The sync mode: every call completes synchronously, inline."""
     platform = SgxPlatform("conf-sync", rng=Rng(b"conf-sync"))
-    queue = SwitchlessQueue(platform, "ocall", ENCLAVE_DOMAIN)
+    queue = RingPair(platform, "ocall", ENCLAVE_DOMAIN, mode="sync")
     log = []
     results = {}
     ticket = 0
@@ -148,22 +148,13 @@ def _sum_counters(delta):
 # ---------------------------------------------------------------------------
 
 
-def _sync_boundary(stats, model):
-    """(normal, sgx, crossings) the switchless queue's plumbing cost."""
-    normal = (
-        stats.submitted * model.switchless_slot_normal
-        + stats.polls * model.switchless_poll_normal
-        + stats.fallback_crossings
-        * (model.trampoline_normal + model.switchless_fallback_normal)
-    )
-    return normal, 2 * stats.fallback_crossings, stats.fallback_crossings
-
-
-def _ring_boundary(stats, model):
-    """(normal, sgx, crossings) the ring plumbing cost."""
+def _boundary(stats, model, descriptor_normal):
+    """(normal, sgx, crossings) the ring plumbing cost; the two modes
+    differ only in what one descriptor costs (a sync call is never
+    reaped, so its ``reaped`` stays 0)."""
     crossings = stats.fallback_crossings + stats.recovery_crossings
     normal = (
-        stats.submitted * model.ring_submit_normal
+        stats.submitted * descriptor_normal
         + stats.reaped * model.ring_reap_normal
         + stats.polls * model.ring_poll_normal
         + (stats.spins + stats.overflow_spin) * model.ring_spin_normal
@@ -192,8 +183,8 @@ def _check_conformance(program, geometry):
     # 3. counters integer-equal after subtracting each arm's modeled
     #    boundary layer — the payload cost must be untouched by the
     #    transport it rode on.
-    sync_b = _sync_boundary(sync_stats, model)
-    ring_b = _ring_boundary(ring_stats, model)
+    sync_b = _boundary(sync_stats, model, model.switchless_slot_normal)
+    ring_b = _boundary(ring_stats, model, model.ring_submit_normal)
     assert ring_total.normal_instructions - ring_b[0] == (
         sync_total.normal_instructions - sync_b[0]
     ), "payload normal-instruction cost diverged"
@@ -319,6 +310,25 @@ class TestEndToEndAdoption:
         ).run([b"ok", b"please DROP-ME now", b"after"], pipeline=False)
         assert rung.blocked
         assert rung.replies == [b"OK:ok"]
+
+    @pytest.mark.parametrize("n_middleboxes", [1, 2])
+    @pytest.mark.parametrize("rings", [False, True])
+    def test_middlebox_pipelined_block_rule_blocks(self, rings, n_middleboxes):
+        # A pipelined client keeps records in flight past a block
+        # verdict; the pump that did not block must drop them, not
+        # crash the flow process on the closed stream.  At equal client
+        # shape, rings do not change the replies.
+        from repro.middlebox.scenarios import MiddleboxScenario
+
+        rules = [("r", b"NOMATCH", "alert"), ("kill", b"DROP-ME", "block")]
+        result = MiddleboxScenario(
+            n_middleboxes=n_middleboxes,
+            rules=rules,
+            seed=b"conf-pipe-block",
+            rings=rings,
+        ).run([b"hello", b"fault-injection", b"DROP-ME", b"after"], pipeline=True)
+        assert result.replies == []
+        assert result.blocked
 
     def test_tor_rings_byte_identical_client_result(self):
         from repro.tor.deployment import TorDeployment, TorDeploymentConfig

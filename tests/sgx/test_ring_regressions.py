@@ -194,6 +194,15 @@ class TestCancelAfterService:
         with pytest.raises(SgxError, match="cancelled"):
             ring.reap(ticket)
 
+    def test_reaped_entries_are_released(self, ring):
+        for i in range(1000):
+            assert ring.reap(ring.submit(lambda v=i: v)) == i
+        assert ring.in_flight == 0
+        assert not ring._entries
+        with pytest.raises(SgxError, match="reaped"):
+            ring.reap(0)
+        assert ring.cancel(0) is False
+
     def test_unknown_ticket_rejected(self, ring):
         assert ring.cancel(999) is False
         with pytest.raises(SgxError, match="unknown"):
@@ -212,7 +221,7 @@ class TestPumpCrossKernel:
         scenario = MiddleboxScenario(
             n_middleboxes=1, seed=b"ring-kernels", rings=True, ring_depth=4
         )
-        result = scenario.run([b"r%d" % i for i in range(6)])
+        result = scenario.run([b"r%d" % i for i in range(6)], pipeline=True)
         return result.replies, result.stats
 
     def test_ring_scenario_identical_on_both_kernels(self):

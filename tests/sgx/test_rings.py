@@ -543,6 +543,38 @@ class TestRuntimeIntegration:
 
 
 # ---------------------------------------------------------------------------
+# A8: the synchronous mode's off/on grid, integer-exact
+# ---------------------------------------------------------------------------
+
+
+class TestSwitchlessAblationPin:
+    def test_grid_pinned(self):
+        results = experiments.run_switchless_ablation()
+
+        def cell(counter):
+            return (
+                counter.enclave_crossings,
+                counter.sgx_instructions,
+                counter.normal_instructions,
+                counter.switchless_calls,
+            )
+
+        ocalls, packets = results["ocalls"], results["packets"]
+        assert (cell(ocalls[False]), cell(ocalls[True])) == (
+            (100, 200, 45000, 0),
+            (0, 0, 55000, 100),
+        )
+        assert {key: cell(counter) for key, counter in packets.items()} == {
+            (1, False): (1, 6, 13000, 0),
+            (1, True): (0, 0, 1792, 1),
+            (10, False): (1, 24, 24178, 0),
+            (10, True): (0, 0, 12970, 1),
+            (100, False): (1, 204, 135958, 0),
+            (100, True): (0, 0, 124750, 1),
+        }
+
+
+# ---------------------------------------------------------------------------
 # A14: the sync-vs-async crossing grid, integer-exact
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Tests for the switchless call-queue subsystem.
+"""Tests for switchless calls: the synchronous mode of ``RingPair``.
 
 Covers the queue mechanics (slots, polling, fallback crossings), the
 cost accounting it produces per domain, the runtime integration
@@ -14,7 +14,7 @@ from repro.cost import DEFAULT_MODEL
 from repro.crypto.drbg import Rng
 
 from repro.errors import SgxError
-from repro.sgx import EnclaveProgram, SgxPlatform, SwitchlessQueue
+from repro.sgx import EnclaveProgram, RingPair, SgxPlatform
 from repro.sgx.runtime import EnclaveContext
 
 
@@ -67,11 +67,13 @@ class TestQueueMechanics:
     def test_invalid_parameters_rejected(self, platform, author):
         enclave = platform.load_enclave(WorkloadProgram(), author_key=author)
         with pytest.raises(SgxError):
-            SwitchlessQueue(platform, "sideways", enclave.domain)
+            RingPair(platform, "sideways", enclave.domain, mode="sync")
         with pytest.raises(SgxError):
-            SwitchlessQueue(platform, "ocall", enclave.domain, capacity=0)
+            RingPair(platform, "ocall", enclave.domain, capacity=0, mode="sync")
         with pytest.raises(SgxError):
-            SwitchlessQueue(platform, "ocall", enclave.domain, poll_interval=0)
+            RingPair(platform, "ocall", enclave.domain, harvest_depth=0, mode="sync")
+        with pytest.raises(SgxError):
+            RingPair(platform, "ocall", enclave.domain, mode="sideways")
 
     def test_call_returns_result_with_zero_crossings(self, enclave, platform):
         before = platform.accountant.snapshot()
@@ -81,7 +83,7 @@ class TestQueueMechanics:
         assert all(c.enclave_crossings == 0 for c in delta.values())
         assert all(c.sgx_instructions == 0 for c in delta.values())
         assert queue.stats.submitted == 1
-        assert queue.stats.serviced == 1
+        assert queue.stats.completed == 1
         assert queue.stats.fallback_crossings == 0
 
     def test_post_drains_on_poll_interval(self, platform, author):
@@ -199,7 +201,7 @@ class TestQueueAccounting:
         # worker's poll pass lands untrusted.
         assert (
             delta[platform.untrusted_domain].normal_instructions
-            == DEFAULT_MODEL.switchless_poll_normal
+            == DEFAULT_MODEL.ring_poll_normal
         )
 
     def test_fallback_charges_crossing_costs(self, enclave, platform):
@@ -210,7 +212,7 @@ class TestQueueAccounting:
         delta = platform.accountant.delta(before)
         expected = (
             DEFAULT_MODEL.trampoline_normal
-            + DEFAULT_MODEL.switchless_fallback_normal
+            + DEFAULT_MODEL.ring_fallback_normal
         )
         assert delta[enclave.domain].normal_instructions == expected
 
@@ -268,7 +270,7 @@ class TestRuntimeIntegration:
         # The method's work is attributed to the enclave's domain (the
         # worker lives inside for the ecall direction).
         assert delta[enclave.domain].normal_instructions > 0
-        assert enclave.switchless_ecalls.stats.serviced == 2
+        assert enclave.switchless_ecalls.stats.completed == 2
 
     def test_ecall_switchless_still_validates_exports(self, platform, author):
         enclave = platform.load_enclave(WorkloadProgram(), author_key=author)

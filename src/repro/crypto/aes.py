@@ -89,12 +89,12 @@ def _build_enc_tables() -> Tuple[List[int], ...]:
 _TE0, _TE1, _TE2, _TE3 = _build_enc_tables()
 
 
-#: key bytes -> (round keys, optional fast-kernel (enc, dec) contexts).
+#: key bytes -> (round keys, optional fast-kernel (enc, dec, CTR opener)).
 #: The key schedule is a pure function of the key, so every cipher
 #: instance for the same key shares one expansion; the modeled
 #: ``cipher_init_normal`` charge is still paid per instance, exactly as
 #: on the cold path — the cache is wall-clock only.
-_SCHEDULES: Dict[bytes, Tuple[List[int], Optional[Tuple[Any, Any]]]] = {}
+_SCHEDULES: Dict[bytes, Tuple[List[int], Optional[Tuple[Any, Any, Any]]]] = {}
 _SCHEDULE_STATS = cache.register(_SCHEDULES, "aes-key-schedule")
 
 
@@ -113,7 +113,7 @@ class AES:
             raise CryptoError(f"invalid AES key length {len(key)}")
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._fast: Optional[Tuple[Any, Any]] = None
+        self._fast: Optional[Tuple[Any, Any, Any]] = None
         if cache.enabled():
             entry = _SCHEDULES.get(key)
             if entry is None:
@@ -166,28 +166,17 @@ class AES:
             return self._fast[0].update(block)
         return self._encrypt_block_raw(block)
 
-    def ctr_keystream(self, counter: int, n_blocks: int) -> bytes:
-        """``n_blocks`` CTR keystream blocks starting at ``counter``.
+    def ctr_context(self, counter: int) -> Optional[Any]:
+        """A kernel CTR encryptor positioned at ``counter``, or ``None``.
 
-        Bulk equivalent of encrypting ``n_blocks`` successive counter
-        blocks: the model charge is ``n_blocks`` times the per-block
-        cost (integer-exact), and on the fast path the whole counter
-        buffer goes through the C kernel in one call.
+        ``None`` on the T-table path (no kernel, or a cipher built
+        under ``cache.disabled()``).  Opening charges nothing: the
+        caller charges each block it draws, as :meth:`encrypt_blocks`
+        does.
         """
-        if n_blocks <= 0:
-            return b""
-        model = cost_context.current_model()
-        cost_context.charge_normal_repeat(model.aes_block_normal, n_blocks)
-        buffer = b"".join(
-            ((counter + i) % (1 << 128)).to_bytes(16, "big")
-            for i in range(n_blocks)
-        )
-        if self._fast is not None:
-            return self._fast[0].update(buffer)
-        return b"".join(
-            self._encrypt_block_raw(buffer[i : i + 16])
-            for i in range(0, len(buffer), 16)
-        )
+        if self._fast is None:
+            return None
+        return self._fast[2](counter)
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         """ECB over ``data`` (block-aligned), one kernel call when fast."""

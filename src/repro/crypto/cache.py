@@ -15,8 +15,9 @@ machinery that removes that overhead without perturbing the model:
   cold computation made, so cached and cold calls are
   indistinguishable to any :class:`~repro.cost.accountant.CostAccountant`;
 * detection of the optional C-backed AES kernel (the ``cryptography``
-  wheel, when the environment ships it) used by
-  :mod:`repro.crypto.aes` for byte-identical fast block operations.
+  wheel, the ``aes`` extra) used by :mod:`repro.crypto.aes` for
+  byte-identical fast block operations, and the per-stream CTR
+  contexts :class:`~repro.crypto.modes.CtrStream` refills from.
 
 The hard invariant, pinned by ``tests/crypto/test_cache_equivalence``:
 caches change wall-clock time only.  Ciphertexts, MACs, digests and
@@ -323,13 +324,19 @@ def _probe_fast_aes() -> Optional[Any]:
     return _FAST_AES
 
 
-def fast_aes_factory(key: bytes) -> Optional[Tuple[Any, Any]]:
-    """(encryptor, decryptor) ECB contexts for ``key``, or ``None``.
+def fast_aes_factory(key: bytes) -> Optional[Tuple[Any, Any, Callable[[int], Any]]]:
+    """(encryptor, decryptor, CTR opener) for ``key``, or ``None``.
 
     ECB contexts are stateless per block, so one pair serves every
-    block operation for this key, including bulk CTR keystream
-    generation (the counter blocks are built by the caller).  AES is
-    AES: the output bytes are identical to the from-scratch T-table
+    block operation for this key.  The opener returns a fresh CTR
+    encryptor positioned at a 128-bit counter; it wraps all 128 bits,
+    as the T-table path's counter arithmetic does.  A
+    :class:`~repro.crypto.modes.CtrStream` opens one lazily at its
+    first refill and keeps it only as a cache of its position: the
+    stream's counter and buffer stay authoritative, ``skip`` drops the
+    context without opening another, and a refill charges the same
+    per-block model cost whichever path made its bytes.  AES is AES:
+    the output bytes are identical to the from-scratch T-table
     implementation, which the NIST-vector and cache-equivalence tests
     both pin.
     """
@@ -337,5 +344,10 @@ def fast_aes_factory(key: bytes) -> Optional[Tuple[Any, Any]]:
     if probed is None:
         return None
     cipher_cls, algorithms, modes = probed
-    cipher = cipher_cls(algorithms.AES(key), modes.ECB())
-    return cipher.encryptor(), cipher.decryptor()
+    algorithm = algorithms.AES(key)
+    ecb = cipher_cls(algorithm, modes.ECB())
+
+    def open_ctr(counter: int) -> Any:
+        return cipher_cls(algorithm, modes.CTR(counter.to_bytes(16, "big"))).encryptor()
+
+    return ecb.encryptor(), ecb.decryptor(), open_ctr

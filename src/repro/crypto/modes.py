@@ -9,6 +9,8 @@ needs no padding).
 
 from __future__ import annotations
 
+from typing import Any, Optional
+
 from repro.cost import context as cost_context
 from repro.crypto.aes import AES
 from repro.crypto.util import pad_pkcs7, unpad_pkcs7, xor_bytes
@@ -66,6 +68,19 @@ class CtrStream:
     object is stateful (the counter advances across calls), which is
     exactly what Tor's per-hop onion layers need: each relay keeps a
     running AES-CTR context per direction.
+
+    The state is ``_counter`` (the next block to draw) and ``_buffer``
+    (drawn, unconsumed keystream); the cohort memo reads the stream's
+    byte position from them.  When the ``cryptography`` kernel is
+    present and caches are on, a refill draws from a kernel CTR
+    context, opened lazily at ``_counter`` on the first refill that
+    finds none and advanced in step with it.  The context is only a
+    cache of that position: :meth:`skip` drops it whenever it moves
+    the counter and never opens one, since a skipped stream may not
+    refill again.  Without the kernel, the counter blocks go through
+    the T-table cipher.  Either way a refill charges
+    ``aes_block_normal`` per block, so modeled numbers do not depend
+    on the path.
     """
 
     def __init__(self, key: bytes, nonce: bytes = b"") -> None:
@@ -74,15 +89,30 @@ class CtrStream:
         self._cipher = AES(key)
         self._counter = int.from_bytes(nonce.ljust(16, b"\x00"), "big")
         self._buffer = b""
+        self._ctx: Optional[Any] = None
 
     def keystream(self, n: int) -> bytes:
         """The next ``n`` keystream bytes."""
         need = n - len(self._buffer)
         if need > 0:
-            # Bulk refill: one kernel call for all missing blocks, with
-            # the same per-block model charge as block-at-a-time.
+            # Bulk refill: one call for all missing blocks, with the
+            # same per-block model charge as block-at-a-time.
             n_blocks = -(-need // 16)
-            self._buffer += self._cipher.ctr_keystream(self._counter, n_blocks)
+            ctx = self._ctx
+            if ctx is None:
+                ctx = self._ctx = self._cipher.ctr_context(self._counter)
+            if ctx is None:
+                counter = self._counter
+                self._buffer += self._cipher.encrypt_blocks(
+                    b"".join(
+                        ((counter + i) % (1 << 128)).to_bytes(16, "big")
+                        for i in range(n_blocks)
+                    )
+                )
+            else:
+                model = cost_context.current_model()
+                cost_context.charge_normal_repeat(model.aes_block_normal, n_blocks)
+                self._buffer += ctx.update(bytes(16 * n_blocks))
             self._counter = (self._counter + n_blocks) % (1 << 128)
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
@@ -102,9 +132,10 @@ class CtrStream:
         whole, rest = divmod(n - len(self._buffer), 16)
         self._counter = (self._counter + whole) % (1 << 128)
         self._buffer = b""
+        self._ctx = None
         if rest:
             with cost_context.use_accountant(None):
-                block = self._cipher.ctr_keystream(self._counter, 1)
+                block = self._cipher.encrypt_block(self._counter.to_bytes(16, "big"))
             self._counter = (self._counter + 1) % (1 << 128)
             self._buffer = block[rest:]
 

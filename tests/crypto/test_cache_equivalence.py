@@ -22,8 +22,10 @@ expansion per distinct session key, while ``cipher_init_normal`` is
 still charged once per cipher instance.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cost import context as cost_context
@@ -50,6 +52,17 @@ from tests.fixtures import make_authority
 
 KEYS = st.binary(min_size=16, max_size=16) | st.binary(min_size=32, max_size=32)
 SETTINGS = settings(max_examples=25, deadline=None)
+#: Includes the all-ones counter, whose next refill wraps all 128 bits.
+CTR_NONCES = st.sampled_from(
+    [b"nonce", b"\xff" * 16, b"\xff" * 15 + b"\xfe"]
+) | st.binary(max_size=16)
+CTR_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["keystream", "process", "skip"]),
+        st.integers(min_value=0, max_value=100),
+    ),
+    max_size=8,
+)
 
 
 def _measure(op):
@@ -87,16 +100,49 @@ class TestCacheEquivalence:
         )
 
     @SETTINGS
-    @given(
-        key=KEYS,
-        lengths=st.lists(st.integers(min_value=0, max_value=100), max_size=5),
+    @given(key=KEYS, nonce=CTR_NONCES, ops=CTR_OPS)
+    @example(
+        key=b"\x2b" * 16,
+        nonce=b"\xff" * 16,
+        ops=[("keystream", 5), ("skip", 40), ("keystream", 30), ("skip", 3),
+             ("process", 20), ("skip", 32), ("keystream", 17)],
     )
-    def test_ctr_keystream(self, key, lengths):
+    def test_ctr_keystream(self, key, nonce, ops):
+        """Kernel CTR contexts (cache on) against the T-table path
+        (``cache.disabled()``) and against caches on with the kernel
+        probe forced absent: output bytes, stream positions after each
+        call and accountant totals all agree, across counter wrap and
+        a refill straight after a ``skip``."""
+
         def op():
-            stream = CtrStream(key, b"nonce")
-            return b"".join(stream.keystream(n) for n in lengths)
+            stream = CtrStream(key, nonce)
+            trace = []
+            for name, n in ops:
+                if name == "keystream":
+                    out = stream.keystream(n)
+                elif name == "process":
+                    out = stream.process(bytes(i % 251 for i in range(n)))
+                else:
+                    out = stream.skip(n)
+                trace.append((out, stream._counter, stream._buffer))
+            return trace
 
         assert_equivalent(op)
+        cache.clear_all()
+        with cache.disabled():
+            cold = _measure(op)
+        try:
+            cache.clear_all()
+            with mock.patch.object(cache, "_probe_fast_aes", lambda: None):
+                assert _measure(op) == cold
+        finally:
+            cache.clear_all()
+        if cache._probe_fast_aes() is not None:
+            stream = CtrStream(key, nonce)
+            stream.keystream(1)
+            assert stream._ctx is not None  # the kernel path engaged
+            stream.skip(16)
+            assert stream._ctx is None  # skip drops it, opens none
 
     @SETTINGS
     @given(key=KEYS, plaintext=st.binary(max_size=96))

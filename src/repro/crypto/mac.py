@@ -87,35 +87,12 @@ def _cmac_subkeys(cipher: AES) -> tuple:
     return k1, k2
 
 
-#: key -> (cipher, K1, K2).  The CMAC subkeys are derived from one
-#: encryption of the zero block; reusing them per key skips a cipher
-#: construction and that block per MAC.  Hits replay the modeled
-#: ``cipher_init_normal`` + one ``aes_block_normal`` exactly as the
-#: cold path charges them.
-_CMAC_CTX: dict = {}
-_CMAC_STATS = cache.register(_CMAC_CTX, "cmac-subkeys")
-
-
 def aes_cmac(key: bytes, message: bytes) -> bytes:
     """NIST SP 800-38B AES-CMAC (128-bit tag)."""
     if len(key) not in (16, 24, 32):
         raise CryptoError("CMAC key must be a valid AES key")
-    if cache.enabled():
-        entry = _CMAC_CTX.get(key)
-        if entry is None:
-            _CMAC_STATS.misses += 1
-            cipher = AES(key)
-            k1, k2 = _cmac_subkeys(cipher)
-            _CMAC_CTX[key] = (cipher, k1, k2)
-        else:
-            _CMAC_STATS.hits += 1
-            cipher, k1, k2 = entry
-            model = cost_context.current_model()
-            cost_context.charge_normal(model.cipher_init_normal)
-            cost_context.charge_normal(model.aes_block_normal)
-    else:
-        cipher = AES(key)
-        k1, k2 = _cmac_subkeys(cipher)
+    cipher = AES(key)
+    k1, k2 = _cmac_subkeys(cipher)
 
     if message and len(message) % 16 == 0:
         blocks = [message[i : i + 16] for i in range(0, len(message), 16)]

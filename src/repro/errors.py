@@ -41,8 +41,8 @@ class SimTimeout(NetworkError):
     """Raised inside a simulator process whose ``get`` timed out.
 
     Lives here (not in :mod:`repro.net.sim`) so the fast kernel and the
-    frozen reference kernel (:mod:`repro.net.sim_reference`) raise the
-    *same* class — ``except SimTimeout`` clauses behave identically
+    frozen reference kernel (a test oracle under ``tests/oracles/``)
+    raise the *same* class — ``except SimTimeout`` clauses behave identically
     whichever kernel is driving the run.
     """
 

@@ -10,7 +10,7 @@ front of the backend.  A replay moves every accountant by the cold
 run's exact per-domain integer counter deltas, bumps the same shard
 stats and moves the inter-shard channels to where the dispatch would
 have left them — so the report is byte-identical to per-client
-replay, which ``tests/load/test_cohorts.py`` enforces.
+replay, which ``tests/conformance/test_cohorts.py`` enforces.
 
 **Signature.**  A dispatch's *base* is its sorted dead-shard set,
 front shard, ``(op, key)`` tuple and live channel sessions.  The first

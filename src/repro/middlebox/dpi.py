@@ -7,7 +7,7 @@ persists per (connection, direction), so signatures spanning record
 boundaries are still caught.
 
 This module is the *compiled* rewrite of the original per-node dict
-walker (frozen verbatim in :mod:`repro.middlebox.dpi_reference`; a
+walker (frozen verbatim as a test oracle under ``tests/oracles/``; a
 hypothesis conformance suite holds the two verdict- and
 cost-identical).  Three things changed:
 
@@ -107,7 +107,7 @@ class AhoCorasick:
     """Multi-pattern matcher compiled to contiguous flat-array rows.
 
     Match semantics are byte-for-byte those of the frozen dict walker
-    (:class:`repro.middlebox.dpi_reference.ReferenceAhoCorasick`):
+    (the ``ReferenceAhoCorasick`` test oracle in ``tests/oracles/``):
     ``search`` returns ``(matches, state)`` with one ``(end_offset,
     rule_id)`` per hit in the same order, and the returned state feeds
     back in to continue across chunk boundaries.

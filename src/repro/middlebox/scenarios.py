@@ -24,8 +24,9 @@ from repro.core.untrusted import open_untrusted_session
 from repro.core.world import World
 from repro.crypto.drbg import Rng
 from repro.errors import AttestationError, MiddleboxError, ProtocolError
+from repro.net import sim as sim_kernel
 from repro.net.network import LinkParams, Network
-from repro.net.sim import SimTimeout, create as create_simulator
+from repro.net.sim import SimTimeout
 from repro.sgx.attestation import IdentityPolicy
 from repro.sgx.measurement import measure_program
 from repro.tls import TlsServer, tls_connect
@@ -81,7 +82,7 @@ class MiddleboxScenario:
         epc_frames: Optional[int] = None,
         world: Optional[World] = None,
     ) -> None:
-        self.sim = create_simulator()
+        self.sim = sim_kernel.create()
         self.network = Network(
             self.sim, rng=Rng(seed, "net"), default_link=LinkParams(latency=0.002)
         )

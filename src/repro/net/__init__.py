@@ -16,7 +16,6 @@ from repro.net.sim import (
     SimTimeout,
     Simulator,
     create,
-    use_kernel,
 )
 from repro.net.transport import MSS, StreamListener, StreamSocket, connect
 
@@ -27,7 +26,6 @@ __all__ = [
     "SimTimeout",
     "SimError",
     "create",
-    "use_kernel",
     "Network",
     "Host",
     "Datagram",

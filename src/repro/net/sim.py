@@ -18,19 +18,19 @@ events live in per-timestamp buckets behind a heap of unique
 timestamps.  Advancing time splices one whole bucket into the FIFO, so
 no per-event sequence numbers are stored or compared — within a
 timestamp, insertion order is execution order, which is exactly the
-(time, seq) order of the frozen reference scheduler
-(:mod:`repro.net.sim_reference`).  The conformance suite
-(``tests/core/test_sim_conformance.py``) runs both kernels lock-step
-on generated programs to pin the equivalence.
+(time, seq) order of the frozen reference scheduler, a test oracle
+under ``tests/oracles/``.  The conformance suite
+(``tests/conformance/test_sim_conformance.py``) runs both kernels
+lock-step on generated programs to pin the equivalence.
 
-Use :func:`use_kernel` to run a block of code on the reference kernel
-instead (deployments construct their simulator via :func:`create`).
+Deployments construct their simulator through :func:`create`, the
+seam the knob lattice swaps to re-run whole experiments on the
+reference kernel.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 
@@ -44,7 +44,6 @@ __all__ = [
     "SimTimeout",
     "SimError",
     "create",
-    "use_kernel",
 ]
 
 
@@ -407,47 +406,11 @@ class Simulator:
         return None
 
 
-# ---------------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------------
-
-#: The Simulator class :func:`create` instantiates.  Swapped by
-#: :func:`use_kernel`; the fast kernel is always the default.
-_ACTIVE_KERNEL: type = Simulator
-
-
 def create() -> "Simulator":
-    """Construct a simulator on the currently selected kernel.
+    """Construct a deployment's simulator.
 
-    Deployments (routing, Tor, middlebox, endpoint harnesses) build
-    their event loop through this factory so the differential tests can
-    re-run whole experiments on the frozen reference scheduler via
-    :func:`use_kernel`.  Code that imports :class:`Simulator` directly
-    always gets the fast kernel.
+    Routing, Tor and middlebox deployments build their event loop
+    through this module attribute so a test can swap in the reference
+    kernel for a whole experiment (``tests/conformance/harness.py``).
     """
-    return _ACTIVE_KERNEL()
-
-
-@contextlib.contextmanager
-def use_kernel(name: str) -> Iterator[None]:
-    """Select the event kernel for the duration of the block.
-
-    ``use_kernel("reference")`` makes :func:`create` return the frozen
-    pre-rewrite heap scheduler (:mod:`repro.net.sim_reference`);
-    ``use_kernel("fast")`` restores the default.  Only construction is
-    affected — simulators already built keep their kernel.
-    """
-    global _ACTIVE_KERNEL
-    if name == "fast":
-        cls: type = Simulator
-    elif name == "reference":
-        from repro.net import sim_reference
-
-        cls = sim_reference.Simulator
-    else:
-        raise NetworkError(f"unknown simulator kernel {name!r}")
-    prior, _ACTIVE_KERNEL = _ACTIVE_KERNEL, cls
-    try:
-        yield
-    finally:
-        _ACTIVE_KERNEL = prior
+    return Simulator()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.crypto import cache
 from repro.crypto.kdf import hkdf
 from repro.sgx.measurement import EnclaveIdentity
 
@@ -40,13 +39,8 @@ class SealPolicy(enum.Enum):
     MRSIGNER = "mrsigner"     # any enclave from the same author
 
 
-@cache.memoize_charged(name="sgx-report-key")
 def derive_report_key(device_secret: bytes, target_mrenclave: bytes, key_id: bytes) -> bytes:
-    """The CMAC key protecting REPORTs destined for ``target_mrenclave``.
-
-    Memoized (exact charge replay): every EREPORT toward the same
-    target re-derives this same key.
-    """
+    """The CMAC key protecting REPORTs destined for ``target_mrenclave``."""
     return hkdf(
         device_secret,
         info=b"sgx-report-key:" + target_mrenclave + key_id,
@@ -54,18 +48,13 @@ def derive_report_key(device_secret: bytes, target_mrenclave: bytes, key_id: byt
     )
 
 
-@cache.memoize_charged(name="sgx-seal-key")
 def derive_seal_key(
     device_secret: bytes,
     identity: EnclaveIdentity,
     policy: SealPolicy,
     key_id: bytes,
 ) -> bytes:
-    """A sealing key bound to the enclave or its signer.
-
-    Memoized (exact charge replay): repeated seal/unseal calls under
-    one policy re-derive the same key.
-    """
+    """A sealing key bound to the enclave or its signer."""
     if policy is SealPolicy.MRENCLAVE:
         binding = b"enclave:" + identity.mrenclave
     else:
@@ -81,7 +70,6 @@ def derive_seal_key(
     )
 
 
-@cache.memoize_charged(name="sgx-launch-key")
 def derive_launch_key(device_secret: bytes) -> bytes:
     """The EINITTOKEN key (launch-enclave only)."""
     return hkdf(device_secret, info=b"sgx-launch-key", length=KEY_SIZE)

@@ -95,7 +95,6 @@ class MeasurementLog:
         return self._finalized
 
 
-@cache.memoize_charged(name="mrenclave")
 def compute_mrenclave(code: bytes, page_size: int = 4096) -> bytes:
     """Predict the MRENCLAVE an :class:`~repro.sgx.platform.SgxPlatform`
     computes when loading ``code`` — without touching a platform.

@@ -24,15 +24,14 @@ from typing import Dict, Generator, List, Optional
 
 from repro.core import AttestedServer, EnclaveNode, open_attested_session
 from repro.core.untrusted import open_untrusted_session
+from repro.core.world import World
 from repro.crypto.drbg import Rng
-from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import AttestationError, ReproError, TorError
+from repro.net import sim as sim_kernel
 from repro.net.network import LinkParams, Network
-from repro.net.sim import create as create_simulator
 from repro.net.transport import StreamListener
 from repro.sgx.attestation import AttestationConfig, IdentityPolicy
 from repro.sgx.measurement import measure_program
-from repro.sgx.quoting import AttestationAuthority
 from repro.tor import attacks
 from repro.tor.apps import (
     TAG_CONSENSUS_REQ,
@@ -120,7 +119,7 @@ class TorDeployment:
 
     def __init__(self, config: TorDeploymentConfig) -> None:
         self.config = config
-        self.sim = create_simulator()
+        self.sim = sim_kernel.create()
         self.network = Network(
             self.sim,
             rng=Rng(config.seed, "net"),
@@ -130,14 +129,8 @@ class TorDeployment:
         self.sgx = config.phase >= 1
         self.relays_sgx = config.phase >= 2
 
-        self.attestation_authority: Optional[AttestationAuthority] = None
-        self.verification_info = None
-        self._author_key = None
-        if self.sgx:
-            self.attestation_authority = AttestationAuthority(
-                Rng(config.seed, "sgx-authority")
-            )
-            self._author_key = generate_rsa_keypair(512, Rng(config.seed, "author"))
+        # Intel's attestation authority and the enclave author's key.
+        self.world = World(config.seed, "sgx-authority") if self.sgx else None
 
         self._build_web()
         self.relays: Dict[str, RelayHandle] = {}
@@ -196,17 +189,17 @@ class TorDeployment:
                 node = EnclaveNode(
                     self.network,
                     nickname,
-                    self.attestation_authority,
+                    self.world.authority,
                     rng=Rng(self.config.seed, nickname),
                 )
                 program = self._relay_program_class(kind)()
-                enclave = node.load(program, author_key=self._author_key, name="or")
+                enclave = node.load(program, author_key=self.world.author, name="or")
                 descriptor = RouterDescriptor.decode(
                     enclave.ecall("configure_relay", nickname, exit_ports, 100)
                 )
                 enclave.ecall(
                     "configure_trust",
-                    self.attestation_authority.verification_info(),
+                    self.world.authority.verification_info(),
                 )
                 OnionRouterNode(
                     node.host,
@@ -258,12 +251,12 @@ class TorDeployment:
                 node = EnclaveNode(
                     self.network,
                     name,
-                    self.attestation_authority,
+                    self.world.authority,
                     rng=Rng(self.config.seed, name),
                 )
                 enclave = node.load(
                     DirectoryAuthorityProgram(),
-                    author_key=self._author_key,
+                    author_key=self.world.author,
                     name="dirauth",
                 )
                 accepted = (
@@ -279,7 +272,7 @@ class TorDeployment:
                 )
                 enclave.ecall(
                     "configure_trust",
-                    self.attestation_authority.verification_info(),
+                    self.world.authority.verification_info(),
                     self._or_measurement_policy() if self.relays_sgx else None,
                 )
                 AttestedServer(node, enclave, DIR_PORT)
@@ -344,7 +337,7 @@ class TorDeployment:
     def _register_native_relay(self, handle: RelayHandle, done) -> Generator:
         host = self.network.host(handle.nickname)
         rng = Rng(self.config.seed, f"reg-{handle.nickname}")
-        info = self.attestation_authority.verification_info()
+        info = self.world.authority.verification_info()
         for name in self.config.authority_names():
             session = yield from open_untrusted_session(
                 host, name, DIR_PORT, info, self._authority_policy(), rng
@@ -362,7 +355,7 @@ class TorDeployment:
             done["count"] += 1
 
     def _register_sgx_relay(self, handle: RelayHandle, results: Dict[str, bool]) -> Generator:
-        info = self.attestation_authority.verification_info()
+        info = self.world.authority.verification_info()
         for name in self.config.authority_names():
             try:
                 session = yield from open_attested_session(
@@ -432,7 +425,7 @@ class TorDeployment:
         holder: Dict[str, ConsensusDocument] = {}
 
         def fetch() -> Generator:
-            info = self.attestation_authority.verification_info()
+            info = self.world.authority.verification_info()
             rng = Rng(self.config.seed, "client-fetch")
             base: Optional[ConsensusDocument] = None
             for name in self.config.authority_names():
@@ -483,7 +476,7 @@ class TorDeployment:
         from repro.core.app import FRAME_ATTEST
         from repro.sgx.attestation import ChallengerAttestor
 
-        info = self.attestation_authority.verification_info()
+        info = self.world.authority.verification_info()
         challenger = ChallengerAttestor(
             ctx=None,
             verification_info=info,

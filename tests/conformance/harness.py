@@ -5,9 +5,12 @@ models (report bytes, integer counters, fault logs, traces and health
 series) must be byte-identical with each fast path on or off, alone
 and in any combination.  This module is where the test suite flips
 them together.  A :class:`Knobs` vector names one point of the
-lattice, :func:`applied` puts the process at that point through the
-switches the package already has, and :func:`outputs` runs a scenario
-there and returns everything it modeled, digested per field.
+lattice, :func:`applied` puts the process at that point, and
+:func:`outputs` runs a scenario there and returns everything it
+modeled, digested per field.  Burst charging and the crypto caches
+flip through the package's own switches; the event kernel and the DPI
+walk flip by swapping in the frozen oracles of ``tests/oracles/``
+(for :func:`repro.net.sim.create` and ``dpi.AhoCorasick``).
 
 The all-oracle vector :data:`ORACLE` runs the frozen reference kernel,
 per-field charging, cold crypto and the frozen reference automaton walk
@@ -40,14 +43,15 @@ from repro.load.cohorts import run_load_cohorts
 from repro.load.engine import run_load_engine
 from repro.load.report import bench_json
 from repro.middlebox import dpi
-from repro.middlebox.dpi_reference import ReferenceAhoCorasick
-from repro.net.sim import use_kernel
+from repro.net import sim
 from repro.obs.metrics import MetricsRegistry, openmetrics_timeseries
 from repro.obs.slo import (
     export_health_timeseries,
     format_health_report,
     run_health,
 )
+from tests.oracles import sim_reference
+from tests.oracles.dpi_reference import ReferenceAhoCorasick
 
 
 def examples(n: int) -> int:
@@ -81,6 +85,7 @@ KNOBS = st.builds(
 )
 
 _COMPILED = dpi.AhoCorasick
+_KERNELS = {"fast": sim.create, "reference": sim_reference.Simulator}
 
 
 class _ReferenceWalk(_COMPILED):
@@ -103,15 +108,17 @@ _OBSERVERS = {
 @contextlib.contextmanager
 def applied(knobs: Knobs):
     """Run the block at ``knobs``; yields the observer's tracer or None."""
+    create = _KERNELS[knobs.kernel]  # an unknown name changes nothing
+    prior_create, prior_walk = sim.create, dpi.AhoCorasick
     prior_burst = accountant.burst_enabled()
     accountant.configure_burst(knobs.burst)
     dpi.AhoCorasick = _ReferenceWalk if knobs.dpi == "reference" else _COMPILED
+    sim.create = create
     try:
-        with use_kernel(knobs.kernel):
-            with contextlib.nullcontext() if knobs.caches else cache.disabled():
-                yield _OBSERVERS[knobs.observer]()
+        with contextlib.nullcontext() if knobs.caches else cache.disabled():
+            yield _OBSERVERS[knobs.observer]()
     finally:
-        dpi.AhoCorasick = _COMPILED
+        sim.create, dpi.AhoCorasick = prior_create, prior_walk
         accountant.configure_burst(prior_burst)
 
 

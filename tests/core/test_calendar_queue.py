@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import sim, sim_reference
+from repro.net import sim
 from repro.net.calqueue import CalendarQueue
 from repro.errors import SimTimeout
+from tests.oracles import sim_reference
 
 # A tiny timestamp pool forces heavy same-timestamp collisions; the
 # integers avoid float-comparison noise in the model.

@@ -22,6 +22,9 @@ expansion per distinct session key, while ``cipher_init_normal`` is
 still charged once per cipher instance.
 """
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -39,13 +42,7 @@ from repro.crypto.mac import aes_cmac, cmac_verify, hmac_sha256, hmac_verify
 from repro.crypto.modes import CtrStream, cbc_encrypt, ecb_decrypt, ecb_encrypt
 from repro.crypto.schnorr import generate_schnorr_keypair, schnorr_sign, schnorr_verify
 from repro.errors import AttestationError
-from repro.sgx.keys import (
-    SealPolicy,
-    derive_launch_key,
-    derive_report_key,
-    derive_seal_key,
-)
-from repro.sgx.measurement import EnclaveIdentity, compute_mrenclave
+from repro.sgx.measurement import EnclaveIdentity
 from repro.sgx.quoting import Quote, verify_quote
 from tests.conformance.harness import Knobs, applied
 from tests.fixtures import make_authority
@@ -199,8 +196,7 @@ class TestCacheEquivalence:
 
 MEMOIZED = [
     "hkdf", "schnorr-verify", "schnorr-verify-bad", "verify-quote",
-    "verify-quote-forged", "mrenclave", "sgx-report-key", "sgx-seal-key",
-    "sgx-launch-key", "every-field",
+    "verify-quote-forged", "every-field",
 ]
 
 
@@ -238,9 +234,6 @@ def _memoized_calls():
     info = authority.verification_info()
     schnorr_key = generate_schnorr_keypair(Rng(b"memo-oracle"))
     signature = schnorr_sign(schnorr_key, b"message")
-    identity = EnclaveIdentity(
-        mrenclave=b"\x05" * 32, mrsigner=b"\x06" * 32, isv_prod_id=3
-    )
     return {
         "hkdf": (hkdf, (b"ikm", b"salt", b"info", 48)),
         "schnorr-verify": (
@@ -253,15 +246,6 @@ def _memoized_calls():
         ),
         "verify-quote": (verify_quote, (signed.encode(), info)),
         "verify-quote-forged": (verify_quote, (forged.encode(), info)),
-        "mrenclave": (compute_mrenclave, (b"code" * 2000,)),
-        "sgx-report-key": (
-            derive_report_key, (b"\x07" * 32, b"\x08" * 32, b"\x0b" * 32)
-        ),
-        "sgx-seal-key": (
-            derive_seal_key,
-            (b"\x07" * 32, identity, SealPolicy.MRSIGNER, b"\x0c" * 32),
-        ),
-        "sgx-launch-key": (derive_launch_key, (b"\x07" * 32,)),
         "every-field": (_every_field, (1000,)),
     }
 
@@ -355,7 +339,31 @@ class TestRecordChannelKeySchedule:
         assert warm == cold
 
 
+#: The package's registered caches, each kept on a measured verdict
+#: (DESIGN.md §15, "Crypto cache verdicts").  Adding a cache means
+#: measuring it end to end and adding its row to that table first.
+PACKAGE_CACHES = {
+    "aes-key-schedule", "hmac-pads", "hkdf", "schnorr-verify",
+    "verify-quote", "program-code-bytes",
+}
+
+
 class TestCachePlumbing:
+    def test_registry_names_exactly_the_measured_caches(self):
+        # A fresh interpreter: test modules register probes of their own.
+        script = (
+            "import importlib, pkgutil, repro\n"
+            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "from repro.crypto.cache import cache_stats\n"
+            "print(' '.join(sorted(cache_stats())))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.split() == sorted(PACKAGE_CACHES)
+
     def test_disabled_context_restores(self):
         assert cache.enabled()
         with cache.disabled():

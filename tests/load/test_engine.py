@@ -131,11 +131,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bench_load_bytes_across_kernels(self, seed):
-        from repro.net.sim import use_kernel
+        from tests.conformance.harness import Knobs, applied
 
         kwargs = dict(n_clients=30, n_shards=2, batch=4, seed=seed)
         fast = bench_json(run_load_engine("routing", **kwargs))
-        with use_kernel("reference"):
+        with applied(Knobs(kernel="reference")):
             reference = bench_json(run_load_engine("routing", **kwargs))
         assert reference == fast
 

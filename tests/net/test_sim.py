@@ -350,21 +350,15 @@ class TestKernelSelection:
 
         assert type(sim_mod.create()) is Simulator
 
-    def test_use_kernel_reference_swaps_factory(self):
+    def test_harness_swap_restores_create_when_block_raises(self):
         from repro.net import sim as sim_mod
-        from repro.net import sim_reference
+        from tests.conformance.harness import Knobs, applied
+        from tests.oracles import sim_reference
 
-        with sim_mod.use_kernel("reference"):
-            assert type(sim_mod.create()) is sim_reference.Simulator
-            # Nested fast selection restores on exit.
-            with sim_mod.use_kernel("fast"):
-                assert type(sim_mod.create()) is Simulator
-            assert type(sim_mod.create()) is sim_reference.Simulator
+        create = sim_mod.create
+        with pytest.raises(RuntimeError, match="inside"):
+            with applied(Knobs(kernel="reference")):
+                assert type(sim_mod.create()) is sim_reference.Simulator
+                raise RuntimeError("inside")
+        assert sim_mod.create is create
         assert type(sim_mod.create()) is Simulator
-
-    def test_use_kernel_rejects_unknown_name(self):
-        from repro.net import sim as sim_mod
-
-        with pytest.raises(NetworkError, match="unknown simulator kernel"):
-            with sim_mod.use_kernel("warp"):
-                pass

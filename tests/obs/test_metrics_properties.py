@@ -8,7 +8,7 @@ Two generators feed the same invariant — summed metric series reconcile
   domain switches, extended with crossing/switchless/fault/allocation
   charges so every reconciled family is exercised), and
 * random scheduler programs executed on BOTH event kernels
-  (:mod:`repro.net.sim` and the frozen :mod:`repro.net.sim_reference`):
+  (:mod:`repro.net.sim` and the frozen :mod:`tests.oracles.sim_reference`):
   conformant kernels must charge identically, so the two runs must
   also export byte-identical OpenMetrics time-series.
 """
@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cost import CostAccountant
-from repro.net import sim, sim_reference
+from repro.net import sim
 from repro.obs.metrics import MetricsRegistry, openmetrics_timeseries
 from tests.conformance.harness import examples
+from tests.oracles import sim_reference
 
 EXAMPLES = examples(25)
 

@@ -22,9 +22,10 @@ import pytest
 
 from repro.crypto.drbg import Rng
 from repro.errors import SgxError, SimTimeout
-from repro.net import sim, sim_reference
-from repro.net.sim import use_kernel
+from repro.net import sim
 from repro.sgx import RingPair, SgxPlatform
+from tests.conformance.harness import Knobs, applied
+from tests.oracles import sim_reference
 
 #: Mirrors OnionRouterNode.REAP_LINGER / MiddleboxNode.REAP_LINGER.
 REAP_LINGER = 1e-6
@@ -229,7 +230,7 @@ class TestPumpCrossKernel:
         # kernels must agree byte for byte or the pump is relying on
         # kernel-private ordering.
         fast = self._run()
-        with use_kernel("reference"):
+        with applied(Knobs(kernel="reference")):
             reference = self._run()
         assert fast == reference
         assert fast[0] == [b"OK:r%d" % i for i in range(6)]

@@ -164,73 +164,3 @@ class TestTable4Baseline:
     def test_routes_match_native(self, results):
         sgx, native = results
         assert sgx.routes == native.routes
-
-
-class TestKernelAndBurstDifferential:
-    """Satellite coverage for the kernel rewrite: every rendered golden
-    table is byte-identical on the fast kernel, the frozen reference
-    scheduler, and with burst-coalesced charging disabled (the
-    per-primitive charge sequence is the oracle for ``charge_burst``).
-    """
-
-    @staticmethod
-    def _burst_off():
-        import contextlib
-
-        from repro.cost import accountant as accountant_mod
-
-        @contextlib.contextmanager
-        def ctx():
-            prior = accountant_mod.burst_enabled()
-            accountant_mod.configure_burst(False)
-            try:
-                yield
-            finally:
-                accountant_mod.configure_burst(prior)
-
-        return ctx()
-
-    def test_table3_bytes_across_kernels(self):
-        from repro.experiments import format_table3
-        from repro.net.sim import use_kernel
-
-        fast = format_table3(run_table3())
-        with use_kernel("reference"):
-            assert format_table3(run_table3()) == fast
-
-    def test_table4_bytes_across_kernels_and_burst(self):
-        from repro.experiments import format_table4
-        from repro.net.sim import use_kernel
-
-        fast = format_table4(*run_table4())
-        with use_kernel("reference"):
-            assert format_table4(*run_table4()) == fast
-        with self._burst_off():
-            assert format_table4(*run_table4()) == fast
-
-    def test_table2_bytes_with_burst_off(self):
-        from repro.experiments import format_table2
-
-        default = format_table2(run_table2())
-        with self._burst_off():
-            assert format_table2(run_table2()) == default
-
-    @pytest.mark.slow
-    def test_table1_bytes_across_kernels_and_burst(self):
-        from repro.experiments import format_table1
-        from repro.net.sim import use_kernel
-
-        fast = format_table1(run_table1())
-        with use_kernel("reference"):
-            assert format_table1(run_table1()) == fast
-        with self._burst_off():
-            assert format_table1(run_table1()) == fast
-
-    @pytest.mark.slow
-    def test_table2_bytes_across_kernels(self):
-        from repro.experiments import format_table2
-        from repro.net.sim import use_kernel
-
-        fast = format_table2(run_table2())
-        with use_kernel("reference"):
-            assert format_table2(run_table2()) == fast

@@ -1,11 +1,11 @@
 """From-scratch cryptography used across the reproduction.
 
 This package stands in for the polarssl library the paper's prototype
-linked against: AES (with ECB/CBC/CTR modes), SHA-256 (a pure-Python
-reference plus a fast accounting wrapper), HMAC and AES-CMAC, HKDF,
-finite-field Diffie-Hellman with the 1024-bit MODP group from the
-paper's evaluation, RSA, Schnorr, and a simplified EPID-style group
-signature for quote signing.  All randomness flows through HMAC-DRBG
+linked against: AES (with ECB/CBC/CTR modes), SHA-256 (an accounting
+wrapper over :mod:`hashlib`), HMAC and AES-CMAC, HKDF, finite-field
+Diffie-Hellman with the 1024-bit MODP group from the paper's
+evaluation, RSA, Schnorr, and a simplified EPID-style group signature
+for quote signing.  All randomness flows through HMAC-DRBG
 so experiments replay deterministically.
 """
 
@@ -27,7 +27,7 @@ from repro.crypto.epid import (
     EpidSignature,
     epid_verify,
 )
-from repro.crypto.hashes import Sha256, sha1, sha256
+from repro.crypto.hashes import sha1, sha256
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.mac import aes_cmac, cmac_verify, hmac_sha256, hmac_verify
 from repro.crypto.modes import CtrStream, cbc_decrypt, cbc_encrypt, ecb_decrypt, ecb_encrypt
@@ -62,7 +62,6 @@ __all__ = [
     "ecb_decrypt",
     "cbc_encrypt",
     "cbc_decrypt",
-    "Sha256",
     "sha256",
     "sha1",
     "hmac_sha256",

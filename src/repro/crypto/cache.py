@@ -10,9 +10,11 @@ machinery that removes that overhead without perturbing the model:
 * a registry of every cache so :func:`clear_all` can return the
   process to a cold state (the perf harness and the cache-equivalence
   tests rely on this);
+* :func:`burst_charged`, which records a call's charges and lands
+  them in the real accountant as one burst, with no table;
 * :func:`memoize_charged`, a memoizer for *pure, deterministic*
-  functions that replays the exact integer instruction charges the
-  cold computation made, so cached and cold calls are
+  functions built on it, which replays the exact integer instruction
+  charges the cold computation made, so cached and cold calls are
   indistinguishable to any :class:`~repro.cost.accountant.CostAccountant`;
 * detection of the optional C-backed AES kernel (the ``cryptography``
   wheel, the ``aes`` extra) used by :mod:`repro.crypto.aes` for
@@ -41,6 +43,7 @@ __all__ = [
     "clear_all",
     "register",
     "CacheStats",
+    "burst_charged",
     "memoize_charged",
     "fast_aes_factory",
 ]
@@ -236,6 +239,36 @@ def _replay(accountant: Optional[Any], charges: Tuple[int, ...]) -> None:
         accountant.charge_fault(faults)
 
 
+def burst_charged(func: Callable) -> Callable:
+    """Charge each call's totals as one burst.
+
+    The call runs under a :class:`_ChargeRecorder`; its integer totals
+    then land in the real accountant in one replay.  A metrics sample
+    whose boundary falls inside the call therefore reads the same as
+    if the charges had arrived together, and a raising call still
+    lands what it charged before the raise, as one burst too.  The
+    wrapper's ``record(*args, **kwargs)`` does the same and returns
+    ``(result, charges)`` for :func:`memoize_charged` to keep.
+    """
+
+    def record(*args: Any, **kwargs: Any) -> Tuple[Any, Tuple[int, ...]]:
+        accountant = cost_context.current_accountant()
+        recorder = _ChargeRecorder(accountant)
+        try:
+            with cost_context.use_accountant(recorder):
+                result = func(*args, **kwargs)
+        finally:
+            _replay(accountant, recorder.charges())
+        return result, recorder.charges()
+
+    @functools.wraps(func)
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        return record(*args, **kwargs)[0]
+
+    wrapper.record = record  # type: ignore[attr-defined]
+    return wrapper
+
+
 def memoize_charged(
     fn: Optional[Callable] = None,
     *,
@@ -251,13 +284,15 @@ def memoize_charged(
     model-dependent.  Unhashable arguments silently take the cold path.
 
     A call charges its totals as one burst whether it hits, misses or
-    runs with caches disabled, so a metrics sample that falls inside
-    the computation reads the same on every path.
+    runs with caches disabled (:func:`burst_charged`), so a metrics
+    sample that falls inside the computation reads the same on every
+    path.  Raising calls are not cached.
     """
 
     def decorate(func: Callable) -> Callable:
         cache: Dict[Any, Tuple[Any, Tuple[int, ...]]] = {}
         stats = register(cache, name or func.__qualname__)
+        record = burst_charged(func).record
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -275,19 +310,10 @@ def memoize_charged(
                         _replay(cost_context.current_accountant(), entry[1])
                         return entry[0]
                     stats.misses += 1
-            accountant = cost_context.current_accountant()
-            recorder = _ChargeRecorder(accountant)
-            try:
-                with cost_context.use_accountant(recorder):
-                    result = func(*args, **kwargs)
-            finally:
-                # Raising calls are not cached, but the charges made
-                # before the raise still land in the real accountant:
-                # failure paths cost the same either way.
-                _replay(accountant, recorder.charges())
+            result, charges = record(*args, **kwargs)
             if key is not None:
                 _trim(cache, maxsize)
-                cache[key] = (result, recorder.charges())
+                cache[key] = (result, charges)
             return result
 
         wrapper.cache = cache  # type: ignore[attr-defined]

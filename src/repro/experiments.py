@@ -722,6 +722,20 @@ def run_fault_scenario(scenario: str) -> str:
     raise ReproError(f"unknown fault scenario {scenario!r}")
 
 
+def run_fault_cell(scenario: str, plan, baseline: str) -> str:
+    """One cell: ``scenario`` under ``plan`` against its fault-free
+    fingerprint.  ``ok``, ``diverged``, or the class name of the typed
+    ``repro.errors`` exception that stopped the run."""
+    from repro import faults
+
+    try:
+        with faults.active(plan):
+            fingerprint = run_fault_scenario(scenario)
+    except ReproError as exc:
+        return type(exc).__name__
+    return "ok" if fingerprint == baseline else "diverged"
+
+
 def run_fault_matrix(
     seed: object = 0,
     fault_classes: Optional[List[str]] = None,
@@ -753,14 +767,8 @@ def _run_fault_matrix(
     for scenario in scenarios:
         for fault_class in classes:
             plan = faults.matrix_plan(fault_class, seed)
-            try:
-                with faults.active(plan):
-                    fingerprint = run_fault_scenario(scenario)
-                outcome = "ok" if fingerprint == baselines[scenario] else "diverged"
-            except ReproError as exc:
-                outcome = type(exc).__name__
             matrix[(scenario, fault_class)] = {
-                "outcome": outcome,
+                "outcome": run_fault_cell(scenario, plan, baselines[scenario]),
                 "faults_injected": len(plan.log),
                 "log_digest": plan.log.digest()[:12],
                 "log": plan.log,

@@ -185,19 +185,6 @@ class MiddleboxProgram(SecureApplicationProgram):
             return "block", verdict.alerts
         return "forward", verdict.alerts
 
-    def inspect_records(self, records) -> List[Tuple[str, List[str]]]:
-        """Inspect a batch of ``(flow_id, direction, record)`` tuples.
-
-        One (verdict, alerts) pair per input, in order.  Bursty traffic
-        pays one boundary call (or one switchless slot) per batch
-        instead of one ecall per record — the Table 2 amortization on
-        the middlebox's hottest path.
-        """
-        return [
-            self.inspect_record(flow_id, direction, record)
-            for flow_id, direction, record in records
-        ]
-
     def end_flow(self, flow_id: str, direction: Optional[str] = None) -> None:
         """Drop a flow direction's DPI streaming state on connection
         close (both directions when ``direction`` is None).

@@ -216,11 +216,18 @@ class MiddleboxScenario:
         submission ring, so a depth-D batch actually forms); the
         default lock-step client awaits each reply before the next
         send.
+
+        A flow that ends early is ``blocked`` only when some middlebox
+        gave a record a block verdict.  One that died otherwise (a
+        failed inspection under ``failure_policy="closed"``, or a
+        record the server's TLS layer rejected) raises
+        :class:`MiddleboxError`: it is not a policy decision.
         """
         replies: List[bytes] = []
         provisioned: List[str] = []
         failures: List[str] = []
-        blocked = {"flag": False}
+        #: What ended the flow before every reply arrived, if anything.
+        ended: List[Exception] = []
         quote_base = self._quote_count()
 
         def client_proc() -> Generator:
@@ -247,8 +254,8 @@ class MiddleboxScenario:
                 for _ in payloads:
                     try:
                         reply = yield from tls.recv(timeout=20.0)
-                    except (ProtocolError, SimTimeout):
-                        blocked["flag"] = True
+                    except (ProtocolError, SimTimeout) as exc:
+                        ended.append(exc)
                         return
                     replies.append(reply)
             else:
@@ -256,8 +263,8 @@ class MiddleboxScenario:
                     tls.send(payload)
                     try:
                         reply = yield from tls.recv(timeout=20.0)
-                    except (ProtocolError, SimTimeout):
-                        blocked["flag"] = True
+                    except (ProtocolError, SimTimeout) as exc:
+                        ended.append(exc)
                         return
                     replies.append(reply)
 
@@ -268,10 +275,16 @@ class MiddleboxScenario:
         stats = {}
         for box in self.middleboxes:
             stats[box.node.name] = box.enclave.ecall("stats")
+        if ended and not any(box_stats["blocked"] for box_stats in stats.values()):
+            failed = sum(box.inspect_failures for box in self.middleboxes)
+            raise MiddleboxError(
+                f"flow ended without a block verdict ({failed} failed "
+                f"inspections): {type(ended[0]).__name__}: {ended[0]}"
+            ) from ended[0]
         return ScenarioResult(
             replies=replies,
             alerts=alerts,
-            blocked=blocked["flag"],
+            blocked=bool(ended),
             attestations=self._quote_count() - quote_base,
             provisioned=provisioned,
             stats=stats,

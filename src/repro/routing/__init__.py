@@ -20,11 +20,7 @@ from repro.routing.policy import LocalPolicy, policy_from_topology
 from repro.routing.relationships import Relationship, default_local_pref, may_export
 from repro.routing.sharding import ShardRing, ShardTree
 from repro.routing.smpc import SmpcCostModel, estimate_smpc_cycles
-from repro.routing.topology import (
-    AsTopology,
-    generate_internet_topology,
-    generate_topology,
-)
+from repro.routing.topology import AsTopology, generate_topology
 from repro.routing.verification import Predicate, PredicateEngine, PredicateKind
 
 __all__ = [
@@ -33,7 +29,6 @@ __all__ = [
     "may_export",
     "AsTopology",
     "generate_topology",
-    "generate_internet_topology",
     "ShardRing",
     "ShardTree",
     "LocalPolicy",

@@ -23,10 +23,11 @@ ring over ASes:
   (a *cross-shard route query*), so any shard can front any client.
 
 This module is the hosting-independent core (plain objects, ambient
-cost charging) plus a reference :class:`ShardedInterDomainController`
-that drives S cores in-process.  The enclave-hosted deployment — one
-enclave per shard, attested inter-shard record channels, batched
-ecalls — lives in :mod:`repro.load.shards` and reuses these cores.
+cost charging).  The enclave-hosted deployment — one enclave per
+shard, attested inter-shard record channels, batched ecalls — lives
+in :mod:`repro.load.shards` and drives these cores.  The in-process
+reference that drives S cores without enclaves is a test oracle
+(``tests/oracles/sharded_controller.py``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Optional, Set
 
-from repro.cost import context as cost_context
-from repro.errors import PolicyError, ShardError
+from repro.errors import ShardError
 from repro.routing.bgp import Route
 from repro.routing.controller import InterDomainController
 from repro.routing.messages import encode_routes_msg
@@ -47,7 +47,6 @@ __all__ = [
     "ShardTree",
     "ShardStats",
     "ShardCore",
-    "ShardedInterDomainController",
 ]
 
 #: Virtual nodes per shard on the hash ring.  Enough that removing one
@@ -124,14 +123,13 @@ class ShardRing:
 class ShardTree:
     """Two-level consistent hashing: region ring, then per-region ring.
 
-    At Internet scale (10^4-10^5 ASes from
-    :func:`repro.routing.topology.generate_internet_topology`) a flat
-    ring makes every shard a direct peer of every other — S*(S-1)/2
-    attested sessions and a policy broadcast that crosses every pair.
-    The tree bounds the fan-out: an AS hashes first onto a *region*
-    (``region{r}#v{v}`` vnode labels), then onto a shard *within* that
-    region's ring.  Inter-region traffic flows through region heads
-    only, so session count drops from O(S^2) to O(S^2/R + R^2).
+    A flat ring makes every shard a direct peer of every other —
+    S*(S-1)/2 attested sessions and a policy broadcast that crosses
+    every pair.  The tree bounds the fan-out: an AS hashes first onto
+    a *region* (``region{r}#v{v}`` vnode labels), then onto a shard
+    *within* that region's ring.  Inter-region traffic flows through
+    region heads only, so session count drops from O(S^2) to
+    O(S^2/R + R^2).
 
     The inner rings are plain :class:`ShardRing` instances with the
     same ``shard{id}#v{v}`` vnode labels, which pins the compatibility
@@ -235,8 +233,8 @@ class ShardCore:
     """One shard's state: owned ASes, full policy set, partial RIB.
 
     Hosting-independent (like :class:`InterDomainController`): the
-    reference in-process controller below and the enclave program in
-    :mod:`repro.load.shards` both drive this object.
+    enclave program in :mod:`repro.load.shards` drives this object,
+    and so does the in-process reference the load tests compare with.
     """
 
     def __init__(self, shard_id: int, alloc_hook=None) -> None:
@@ -337,205 +335,3 @@ class ShardCore:
             # routes_for raises ShardError for an unowned AS, hit or miss.
             self._replies[asn] = encode_routes_msg(self.routes_for(asn))
         return self._replies[asn]
-
-
-class ShardedInterDomainController:
-    """Reference in-process deployment of S shard cores.
-
-    Answers are byte-for-byte the unsharded controller's; the
-    inter-shard traffic (policy broadcast, slice exchange, forwarded
-    queries) is charged as serialization work against the ambient cost
-    accountant.  ``shards=1`` short-circuits every inter-shard step, so
-    its cost counters equal the unsharded controller's exactly —
-    integer for integer (the load suite pins this).
-    """
-
-    def __init__(self, n_shards: int, alloc_hook=None) -> None:
-        if n_shards < 1:
-            raise ShardError("need at least one shard")
-        self.ring = ShardRing(list(range(n_shards)))
-        self.cores: Dict[int, ShardCore] = {
-            shard_id: ShardCore(shard_id, alloc_hook=alloc_hook)
-            for shard_id in range(n_shards)
-        }
-        self.dead: Set[int] = set()
-        self._sealed = False
-
-    # -- helpers ------------------------------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.cores) - len(self.dead)
-
-    def _live(self) -> List[ShardCore]:
-        return [
-            core
-            for shard_id, core in sorted(self.cores.items())
-            if shard_id not in self.dead
-        ]
-
-    def _charge_wire(self, n_bytes: int) -> None:
-        model = cost_context.current_model()
-        cost_context.charge_normal(model.serialize_byte_normal * n_bytes)
-
-    def owner_of(self, asn: int) -> int:
-        return self.ring.owner(asn)
-
-    # -- registration -------------------------------------------------------
-
-    def submit_policy(self, policy: LocalPolicy) -> None:
-        if self._sealed:
-            raise ShardError("cannot register after the controller sealed")
-        self.cores[self.ring.owner(policy.asn)].submit_policy(policy)
-
-    def participants(self) -> List[int]:
-        return sorted(asn for core in self._live() for asn in core.owned)
-
-    # -- seal: broadcast, compute, exchange ---------------------------------
-
-    def seal(self) -> None:
-        """Registration closed: sync policies, compute, exchange slices."""
-        if self._sealed:
-            return
-        live = self._live()
-        if len(live) > 1:
-            for core in live:
-                payload = sum(
-                    len(core.controller.policy_of(asn).encode())
-                    for asn in sorted(core.owned)
-                )
-                for peer in live:
-                    if peer is core:
-                        continue
-                    # One broadcast copy per peer: encode on the way
-                    # out, decode on the way in.
-                    self._charge_wire(payload)
-                    self._charge_wire(payload)
-                    for asn in sorted(core.owned):
-                        peer.ingest_policy(core.controller.policy_of(asn))
-        owner_map = {
-            asn: self.ring.owner(asn)
-            for core in live
-            for asn in core.owned
-        }
-        for core in live:
-            core.compute()
-        for core in live:
-            for peer_id, slices in sorted(core.slices_for(owner_map).items()):
-                if peer_id != core.shard_id:
-                    n_bytes = sum(
-                        len(route.encode())
-                        for per_as in slices.values()
-                        for route in per_as.values()
-                    )
-                    self._charge_wire(n_bytes)
-                    self._charge_wire(n_bytes)
-                self.cores[peer_id].merge_slice(slices)
-        self._sealed = True
-
-    # -- serving ------------------------------------------------------------
-
-    def routes_for(self, asn: int, via_shard: Optional[int] = None) -> Dict[str, Route]:
-        """Serve one AS's routes, through an arbitrary front shard.
-
-        ``via_shard`` models a client hitting any frontend: a non-owner
-        front forwards the query to the owner over the inter-shard
-        link (one cross-shard query, charged both ways).
-        """
-        self.seal()
-        owner = self.ring.owner(asn)
-        if owner in self.dead:
-            raise ShardError(f"shard {owner} (owner of AS{asn}) is dead")
-        if via_shard is not None and via_shard != owner:
-            if via_shard in self.dead or via_shard not in self.cores:
-                raise ShardError(f"front shard {via_shard} is dead")
-            front = self.cores[via_shard]
-            front.stats.cross_shard_queries += 1
-            routes = self.cores[owner].routes_for(asn)
-            n_bytes = sum(len(route.encode()) for route in routes.values())
-            self._charge_wire(8)        # the query: one ASN
-            self._charge_wire(n_bytes)  # the reply: the route slice
-            return routes
-        return self.cores[owner].routes_for(asn)
-
-    # -- failover -----------------------------------------------------------
-
-    def fail_shard(self, shard_id: int) -> List[int]:
-        """Kill one shard; re-home its ASes onto the survivors.
-
-        Returns the re-homed ASNs.  Survivors already hold the full
-        policy set (broadcast at seal) and their own computed
-        partitions; the dead shard's partition is recomputed by the new
-        owners and its ASes' RIBs are rebuilt from every survivor's
-        retained slices — no client data is lost, clients only need to
-        re-register ownership (see :meth:`ShardCore.adopt`).
-        """
-        if shard_id in self.dead:
-            raise ShardError(f"shard {shard_id} is already dead")
-        if shard_id not in self.cores:
-            raise ShardError(f"no shard {shard_id}")
-        dead_core = self.cores[shard_id]
-        self.ring.remove_shard(shard_id)
-        self.dead.add(shard_id)
-        rehomed = sorted(dead_core.owned)
-        if not self._sealed:
-            # Registration still open: surviving owners just take the
-            # re-registrations as they arrive.
-            return rehomed
-
-        live = self._live()
-        owner_map = {
-            asn: self.ring.owner(asn)
-            for core in live
-            for asn in core.owned
-        }
-        for asn in rehomed:
-            owner_map[asn] = self.ring.owner(asn)
-
-        # 1. New owners adopt the re-homed ASes (policies were synced).
-        for asn in rehomed:
-            new_owner = self.cores[owner_map[asn]]
-            new_owner.adopt(
-                asn, dead_core.controller.policy_of(asn).encode()
-            )
-
-        # 2. New owners recompute the dead shard's origin partition for
-        #    the origins they inherited, and redistribute those slices.
-        for core in live:
-            inherited = sorted(
-                asn for asn in rehomed if owner_map[asn] == core.shard_id
-            )
-            if not inherited:
-                continue
-            extra = core.controller.compute_partition(inherited)
-            if core.computed is None:
-                core.computed = {}
-            for asn, routes in extra.items():
-                if routes:
-                    core.computed.setdefault(asn, {}).update(routes)
-
-        # 3. Every survivor replays its retained slice for the re-homed
-        #    ASes to the new owners (the dead shard held their RIBs).
-        rehomed_set = set(rehomed)
-        for core in live:
-            computed = core.computed or {}
-            for peer_id, slices in sorted(
-                core.slices_for(owner_map).items()
-            ):
-                narrowed = {
-                    asn: routes
-                    for asn, routes in slices.items()
-                    if asn in rehomed_set
-                }
-                if not narrowed:
-                    continue
-                if peer_id != core.shard_id:
-                    n_bytes = sum(
-                        len(route.encode())
-                        for per_as in narrowed.values()
-                        for route in per_as.values()
-                    )
-                    self._charge_wire(n_bytes)
-                    self._charge_wire(n_bytes)
-                self.cores[peer_id].merge_slice(narrowed)
-        return rehomed

@@ -17,7 +17,7 @@ from repro.crypto.drbg import Rng
 from repro.errors import PolicyError
 from repro.routing.relationships import Relationship
 
-__all__ = ["AsTopology", "generate_topology", "generate_internet_topology"]
+__all__ = ["AsTopology", "generate_topology"]
 
 
 @dataclasses.dataclass
@@ -145,100 +145,3 @@ def generate_topology(
                 added += 1
 
     return topology
-
-
-def generate_internet_topology(
-    n_ases: int,
-    rng: Rng,
-    n_regions: int = 8,
-    prefixes_per_as: int = 1,
-) -> Tuple[AsTopology, Dict[int, int]]:
-    """An Internet-scale topology: power-law degrees plus a region map.
-
-    :func:`generate_topology` is fine at the paper's 30 ASes but its
-    uniform provider choice gives thin-tailed degrees; measured AS
-    graphs (CAIDA) are scale-free.  This generator grows the graph by
-    preferential attachment: after a tier-1 seed clique, every new AS
-    picks 1-2 providers among *earlier* ASes with probability
-    proportional to their current degree (sampling a uniform edge
-    endpoint), so early well-connected carriers accumulate customers
-    and the degree distribution develops the heavy tail property tests
-    pin.  Because providers are always earlier in the growth order the
-    customer-provider digraph is acyclic, which keeps Gao-Rexford
-    routing convergent at any size.
-
-    Returns ``(topology, regions)`` where ``regions`` maps every ASN to
-    a region id in ``[0, n_regions)`` — the partition the two-level
-    shard tree (:class:`repro.routing.sharding.ShardTree`) deploys
-    over.  The first ``n_regions`` ASes seed one region each, so no
-    region is ever empty; the rest land near their first provider
-    (regions model geography: customers mostly attach to carriers in
-    their own region, with a seeded fraction of multinationals).
-
-    Deterministic: the output is a pure function of ``(n_ases,
-    n_regions, prefixes_per_as)`` and the ``rng`` stream.
-    """
-    if n_ases < 2:
-        raise PolicyError("need at least 2 ASes")
-    if n_regions < 1:
-        raise PolicyError("need at least one region")
-    if n_regions > n_ases:
-        raise PolicyError("more regions than ASes")
-    if prefixes_per_as < 1:
-        raise PolicyError("each AS needs at least one prefix")
-
-    topology = AsTopology.empty()
-    asns = list(range(1, n_ases + 1))
-    for asn in asns:
-        if prefixes_per_as == 1:
-            topology.add_as(asn)
-        else:
-            topology.add_as(
-                asn,
-                [f"10.{asn}.{k}.0/24" for k in range(prefixes_per_as)],
-            )
-
-    n_tier1 = min(n_ases, max(2, round(n_ases ** 0.25)))
-    tier1 = asns[:n_tier1]
-    for i, a in enumerate(tier1):
-        for b in tier1[i + 1 :]:
-            topology.add_link(a, b, Relationship.PEER)
-
-    # Every link contributes both endpoints; drawing a uniform element
-    # is then degree-proportional sampling in O(1).
-    endpoints: List[int] = []
-    for a in tier1:
-        for b in tier1:
-            if a != b:
-                endpoints.append(a)
-
-    regions: Dict[int, int] = {}
-    for index, asn in enumerate(tier1):
-        regions[asn] = index % n_regions
-
-    for index, asn in enumerate(asns[n_tier1:], start=n_tier1):
-        n_providers = rng.randint(1, 2)
-        providers: List[int] = []
-        attempts = 0
-        while len(providers) < n_providers and attempts < 16:
-            attempts += 1
-            candidate = endpoints[rng.randint(0, len(endpoints) - 1)]
-            if candidate >= asn or candidate in providers:
-                continue
-            providers.append(candidate)
-        if not providers:
-            # Degenerate fallback (tiny graphs): uniform earlier AS.
-            providers.append(asns[rng.randint(0, index - 1)])
-        for provider in providers:
-            topology.add_link(asn, provider, Relationship.PROVIDER)
-            endpoints.append(asn)
-            endpoints.append(provider)
-        if asn <= n_regions:
-            # Region seeds stay put so every region is non-empty.
-            regions[asn] = asn - 1
-        elif rng.randint(0, 9) == 0:
-            regions[asn] = rng.randint(0, n_regions - 1)
-        else:
-            regions[asn] = regions[providers[0]]
-
-    return topology, regions

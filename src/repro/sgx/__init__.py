@@ -21,7 +21,7 @@ from repro.sgx.attestation import (
 from repro.sgx.enclave import Enclave
 from repro.sgx.epc import PAGE_SIZE, EnclavePageCache, PageType
 from repro.sgx.isa import PrivilegedInstruction, UserInstruction
-from repro.sgx.keys import KeyName, SealPolicy
+from repro.sgx.keys import SealPolicy
 from repro.sgx.local_attestation import (
     LocalAttestationPartyProgram,
     LocalAttestor,
@@ -64,7 +64,6 @@ __all__ = [
     "PrivilegedInstruction",
     "RingPair",
     "RingStats",
-    "KeyName",
     "SealPolicy",
     "Report",
     "TargetInfo",

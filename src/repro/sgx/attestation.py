@@ -38,7 +38,7 @@ from repro.crypto.mac import hmac_sha256, hmac_verify
 from repro.crypto.numtheory import is_probable_prime
 from repro.errors import AttestationError, SgxError
 from repro.sgx.measurement import EnclaveIdentity
-from repro.sgx.quoting import Quote, QuoteVerificationInfo, verify_quote
+from repro.sgx.quoting import QuoteVerificationInfo, verify_quote
 from repro.sgx.report import Report, verify_report_mac
 from repro.sgx.runtime import EnclaveContext, EnclaveProgram
 from repro.wire import Reader, Writer
@@ -72,17 +72,12 @@ class IdentityPolicy:
     """Which enclave identities a verifier accepts."""
 
     allowed_mrenclaves: Optional[FrozenSet[bytes]] = None
-    allowed_mrsigners: Optional[FrozenSet[bytes]] = None
     min_isv_svn: int = 0
     predicate: Optional[Callable[[EnclaveIdentity], bool]] = None
 
     @classmethod
     def for_mrenclave(cls, *mrenclaves: bytes) -> "IdentityPolicy":
         return cls(allowed_mrenclaves=frozenset(mrenclaves))
-
-    @classmethod
-    def for_mrsigner(cls, *mrsigners: bytes) -> "IdentityPolicy":
-        return cls(allowed_mrsigners=frozenset(mrsigners))
 
     @classmethod
     def accept_any(cls) -> "IdentityPolicy":
@@ -98,11 +93,6 @@ class IdentityPolicy:
                 "attested MRENCLAVE is not in the accepted set "
                 "(code differs from the audited build)"
             )
-        if (
-            self.allowed_mrsigners is not None
-            and identity.mrsigner not in self.allowed_mrsigners
-        ):
-            raise AttestationError("enclave signer not trusted")
         if identity.isv_svn < self.min_isv_svn:
             raise AttestationError(
                 f"enclave SVN {identity.isv_svn} below minimum {self.min_isv_svn}"

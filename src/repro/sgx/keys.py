@@ -8,7 +8,6 @@ platform when it executes EGETKEY on behalf of an enclave:
 * **report key** — keyed to a *target* enclave's MRENCLAVE: EREPORT can
   derive it for any target, EGETKEY only hands it to that target.
 * **seal key** — keyed to MRENCLAVE or MRSIGNER per sealing policy.
-* **provisioning/launch keys** — restricted to architectural enclaves.
 """
 
 from __future__ import annotations
@@ -18,18 +17,9 @@ import enum
 from repro.crypto.kdf import hkdf
 from repro.sgx.measurement import EnclaveIdentity
 
-__all__ = ["KeyName", "SealPolicy", "derive_report_key", "derive_seal_key", "derive_launch_key"]
+__all__ = ["SealPolicy", "derive_report_key", "derive_seal_key"]
 
 KEY_SIZE = 16  # SGX symmetric keys are 128-bit
-
-
-class KeyName(enum.Enum):
-    """EGETKEY key-name field."""
-
-    REPORT = "report"
-    SEAL = "seal"
-    LAUNCH = "launch"
-    PROVISION = "provision"
 
 
 class SealPolicy(enum.Enum):
@@ -69,7 +59,3 @@ def derive_seal_key(
         length=KEY_SIZE,
     )
 
-
-def derive_launch_key(device_secret: bytes) -> bytes:
-    """The EINITTOKEN key (launch-enclave only)."""
-    return hkdf(device_secret, info=b"sgx-launch-key", length=KEY_SIZE)

@@ -222,15 +222,13 @@ class AttestationAuthority:
         )
 
 
-@cache.memoize_charged(name="verify-quote")
+@cache.burst_charged
 def verify_quote(quote_bytes: bytes, info: QuoteVerificationInfo) -> Quote:
     """Remote verification of a QUOTE (paper Figure 1, step 'verify
     signature').  Returns the decoded quote on success.
 
-    Memoized (exact charge replay): verification is a pure function of
-    the quote bytes and the published info, and services that attest
-    many clients check the same quoting-enclave group repeatedly.
-    Failing verifications raise and are never cached.
+    A call charges its totals as one burst (DESIGN.md §15): metrics
+    samples that fall inside a verification read that grouping.
     """
     quote = Quote.decode(quote_bytes)
     if quote.qe_identity.mrenclave != info.qe_mrenclave:

@@ -97,12 +97,6 @@ class CompromisedAuthorityCore(DirectoryAuthorityCore):
             return True
         return super().register(descriptor, attested_mrenclave, manual_approved)
 
-    def steal_signing_key(self):
-        """On a native host the attacker simply reads the key from
-        memory; the SGX variant of this call site gets an
-        EnclaveAccessError instead."""
-        return self.signing_key
-
 
 class TamperingExitEnclaveProgram(OnionRouterEnclaveProgram):
     """The attacker's SGX build of the tampering relay.

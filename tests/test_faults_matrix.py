@@ -9,11 +9,13 @@ itself is computed once (module fixture); the parametrized tests
 pin each cell's obligations.
 """
 
+import itertools
 import os
 
 import pytest
 
 from repro import experiments, faults
+from repro.errors import ReproError
 
 SCENARIOS = experiments.FAULT_SCENARIOS
 CLASSES = sorted(faults.FAULT_CLASSES)
@@ -302,9 +304,55 @@ def test_paging_storm_never_diverges(matrix, scenario):
     assert cell["outcome"] == "ok", cell
 
 
-def test_matrix_rejects_unknown_fault_class():
-    from repro.errors import ReproError
+# -- fault pairs --------------------------------------------------------------
+#
+# Two classes composed in one plan (EXPERIMENTS.md A9, "Fault pairs").
+# The contract is the single-class one: "ok" or a typed repro.errors
+# exception, never "diverged".
 
+
+def _pair_cell(matrix, scenario, pair, seed):
+    """(outcome, faults_injected) of ``scenario`` under both classes."""
+    rules = [rule for fault_class in pair for rule in faults.FAULT_CLASSES[fault_class]]
+    plan = faults.FaultPlan(seed, rules)
+    baseline = matrix["baselines"][scenario]
+    return experiments.run_fault_cell(scenario, plan, baseline), len(plan.log)
+
+
+# The two ocall failures break the provisioning attestation, so the one
+# MAC corruption lands on the client's first TLS data record instead of
+# a provisioning record; the server's TLS layer rejects it and the flow
+# dies with no middlebox block verdict.  Reporting that as a policy
+# block (blocked=True, no replies) would be a silently wrong answer.
+PINNED_PAIR_CELLS = {
+    ("middlebox", ("mac_corrupt", "ocall_fail"), 0): ("MiddleboxError", 3),
+    ("middlebox", ("mac_corrupt", "ocall_fail"), 1): ("MiddleboxError", 3),
+    ("middlebox", ("ocall_fail", "mac_corrupt"), 0): ("MiddleboxError", 3),
+    ("middlebox", ("ocall_fail", "mac_corrupt"), 1): ("MiddleboxError", 3),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_PAIR_CELLS))
+def test_pair_cell_outcome_pinned(matrix, cell):
+    scenario, pair, seed = cell
+    assert _pair_cell(matrix, scenario, pair, seed) == PINNED_PAIR_CELLS[cell]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_fault_pair_ok_or_typed(matrix, scenario, seed):
+    # All 105 unordered pairs of the 15 classes.  An untyped exception
+    # propagates and fails the test on its own.
+    diverged = [
+        pair
+        for pair in itertools.combinations(CLASSES, 2)
+        if _pair_cell(matrix, scenario, pair, seed)[0] == "diverged"
+    ]
+    assert diverged == []
+
+
+def test_matrix_rejects_unknown_fault_class():
     with pytest.raises(ReproError, match="unknown fault class"):
         faults.matrix_plan("cosmic_ray")
 

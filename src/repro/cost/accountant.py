@@ -154,13 +154,21 @@ class CostAccountant:
         correctly when the block exits via an exception — attribution
         never leaks into the caller's domain.
         """
-        self._domain_stack.append(domain)
-        self._current = self._counters.get(domain)
+        self.push_domain(domain)
         try:
             yield
         finally:
-            self._domain_stack.pop()
-            self._current = self._counters.get(self._domain_stack[-1])
+            self.pop_domain()
+
+    def push_domain(self, domain: str) -> None:
+        """Make ``domain`` current until the matching :meth:`pop_domain`."""
+        self._domain_stack.append(domain)
+        self._current = self._counters.get(domain)
+
+    def pop_domain(self) -> None:
+        """Undo the matching :meth:`push_domain`."""
+        self._domain_stack.pop()
+        self._current = self._counters.get(self._domain_stack[-1])
 
     # -- charging ----------------------------------------------------------
 

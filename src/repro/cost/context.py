@@ -16,22 +16,22 @@ from typing import Iterator, Optional
 from repro.cost.accountant import CostAccountant
 from repro.cost.model import DEFAULT_MODEL, CostModel
 
-_ACCOUNTANT: contextvars.ContextVar[Optional[CostAccountant]] = contextvars.ContextVar(
+ACCOUNTANT_VAR: contextvars.ContextVar[Optional[CostAccountant]] = contextvars.ContextVar(
     "repro_cost_accountant", default=None
 )
-_MODEL: contextvars.ContextVar[CostModel] = contextvars.ContextVar(
+MODEL_VAR: contextvars.ContextVar[CostModel] = contextvars.ContextVar(
     "repro_cost_model", default=DEFAULT_MODEL
 )
 
 
 def current_accountant() -> Optional[CostAccountant]:
     """The accountant charges currently flow into, if any."""
-    return _ACCOUNTANT.get()
+    return ACCOUNTANT_VAR.get()
 
 
 def current_model() -> CostModel:
     """The cost model in effect (defaults to :data:`DEFAULT_MODEL`)."""
-    return _MODEL.get()
+    return MODEL_VAR.get()
 
 
 @contextlib.contextmanager
@@ -40,19 +40,19 @@ def use_accountant(
     model: Optional[CostModel] = None,
 ) -> Iterator[Optional[CostAccountant]]:
     """Route ambient charges into ``accountant`` within the block."""
-    token = _ACCOUNTANT.set(accountant)
-    model_token = _MODEL.set(model) if model is not None else None
+    token = ACCOUNTANT_VAR.set(accountant)
+    model_token = MODEL_VAR.set(model) if model is not None else None
     try:
         yield accountant
     finally:
         if model_token is not None:
-            _MODEL.reset(model_token)
-        _ACCOUNTANT.reset(token)
+            MODEL_VAR.reset(model_token)
+        ACCOUNTANT_VAR.reset(token)
 
 
 def charge_normal(count: float) -> None:
     """Charge normal instructions to the ambient accountant, if any."""
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is not None:
         accountant.charge_normal(int(count))
 
@@ -66,7 +66,7 @@ def charge_normal_repeat(count: float, times: int) -> None:
     e.g. a CTR keystream refill of N blocks — pay per-block model costs
     without N trips through the ambient context.
     """
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is not None and times > 0:
         accountant.charge_normal(int(count) * times)
 
@@ -79,38 +79,38 @@ def charge_app_normal(count: float) -> None:
     model's calibration notes).  Whether we are "inside" is read off
     the accountant's current attribution domain.
     """
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is None:
         return
     if accountant.current_domain.startswith("enclave:"):
-        count *= _MODEL.get().enclave_execution_factor
+        count *= MODEL_VAR.get().enclave_execution_factor
     accountant.charge_normal(int(count))
 
 
 def charge_sgx(count: int = 1) -> None:
     """Charge user-mode SGX instructions to the ambient accountant."""
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is not None:
         accountant.charge_sgx(count)
 
 
 def charge_switchless(count: int = 1) -> None:
     """Record boundary calls that skipped the crossing (switchless)."""
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is not None:
         accountant.charge_switchless(count)
 
 
 def charge_fault(count: int = 1) -> None:
     """Record injected faults against the ambient accountant."""
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is not None:
         accountant.charge_fault(count)
 
 
 def charge_allocation(count: int = 1) -> None:
     """Record in-enclave allocations against the ambient accountant."""
-    accountant = _ACCOUNTANT.get()
+    accountant = ACCOUNTANT_VAR.get()
     if accountant is not None:
         accountant.charge_allocation(count)
         accountant.charge_normal(current_model().enclave_alloc_normal * count)

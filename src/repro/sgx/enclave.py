@@ -14,7 +14,6 @@ from repro import faults, obs
 from repro.cost import context as cost_context
 from repro.errors import EnclaveAccessError, SgxError
 from repro.sgx.epc import EpcPage
-from repro.sgx.isa import UserInstruction, execute_user
 from repro.sgx.measurement import EnclaveIdentity
 from repro.sgx.runtime import EnclaveContext, EnclaveProgram
 
@@ -36,6 +35,7 @@ class Enclave:
         self._platform = platform
         self.enclave_id = enclave_id
         self.name = name
+        self._domain = f"enclave:{name}"
         self.identity = identity
         self._pages = pages
         self._program = program
@@ -57,78 +57,73 @@ class Enclave:
     @property
     def domain(self) -> str:
         """Cost-accounting domain for in-enclave execution."""
-        return f"enclave:{self.name}"
+        return self._domain
 
     def ecall(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Enter the enclave and run an exported method.
 
         Charges EENTER/EEXIT, a trampoline cost, and attributes the
         method's work (and any costs it incurs) to this enclave's
-        domain in the platform's accountant.
+        domain in the platform's accountant, as a one-element batch.
         """
         handler = self._resolve_ecall(method)
-        accountant = self._platform.accountant
-        with cost_context.use_accountant(accountant, self._platform.model):
-            with accountant.attribute(self.domain):
-                with obs.span(f"ecall:{self.name}.{method}", kind="ecall"):
-                    execute_user(UserInstruction.EENTER)
-                    accountant.charge_crossing()
-                    cost_context.charge_normal(
-                        cost_context.current_model().trampoline_normal
-                    )
-                    before = accountant.counter(self.domain).normal_instructions
-                    try:
-                        return handler(self._program, *args, **kwargs)
-                    finally:
-                        self._charge_async_exits(accountant, before)
-                        self._charge_aex_storm(accountant, method)
-                        execute_user(UserInstruction.EEXIT)
+        return self._enter(method, ((handler, args, kwargs),))[0]
 
     def ecall_batch(self, calls: Any) -> List[Any]:
         """Run several exported methods under ONE enclave crossing.
 
-        ``calls`` is a sequence of ``(method, args, kwargs)`` tuples.
+        ``calls`` is an iterable of ``(method, args, kwargs)`` tuples.
         The batch pays a single EENTER/EEXIT pair, one crossing and one
         trampoline — K requests amortize the boundary cost that
-        :meth:`ecall` pays per call.  A one-element batch charges
-        exactly what the equivalent :meth:`ecall` charges (the load
-        suite pins this), so ``batch=1`` runs reconcile integer-for-
-        integer against the unbatched path.
+        :meth:`ecall` pays per call.  A one-element batch charges and
+        traces exactly what the equivalent :meth:`ecall` does
+        (``TestEcallBatch.test_single_element_batch_charges_exactly_one_ecall``
+        in ``tests/load/test_batching.py``), so ``batch=1`` runs
+        reconcile integer-for-integer against the unbatched path.
 
         Error semantics match a plain ecall: the first raising handler
         aborts the batch (EEXIT and interrupt modeling still charged),
         and the exception propagates — partial results are discarded.
         """
-        resolved = [
-            (self._resolve_ecall(method), method, args, kwargs)
-            for method, args, kwargs in calls
-        ]
-        if not resolved:
+        calls = list(calls)
+        if not calls:
             raise SgxError(f"enclave '{self.name}': empty ecall batch")
-        label = (
-            resolved[0][1]
-            if len(resolved) == 1
-            else f"batch[{len(resolved)}]"
-        )
-        accountant = self._platform.accountant
-        with cost_context.use_accountant(accountant, self._platform.model):
-            with accountant.attribute(self.domain):
-                with obs.span(f"ecall:{self.name}.{label}", kind="ecall"):
-                    execute_user(UserInstruction.EENTER)
-                    accountant.charge_crossing()
-                    cost_context.charge_normal(
-                        cost_context.current_model().trampoline_normal
-                    )
-                    before = accountant.counter(self.domain).normal_instructions
-                    try:
-                        return [
-                            handler(self._program, *args, **kwargs)
-                            for handler, _method, args, kwargs in resolved
-                        ]
-                    finally:
-                        self._charge_async_exits(accountant, before)
-                        self._charge_aex_storm(accountant, label)
-                        execute_user(UserInstruction.EEXIT)
+        resolved = [(self._resolve_ecall(m), a, kw) for m, a, kw in calls]
+        label = calls[0][0] if len(calls) == 1 else f"batch[{len(calls)}]"
+        return self._enter(label, resolved)
+
+    def _enter(self, label: str, resolved: Any) -> List[Any]:
+        """The one crossing frame (DESIGN.md §16).  :meth:`ecall` and
+        :meth:`ecall_batch` each call it, so neither enters the other."""
+        platform = self._platform
+        accountant = platform.accountant
+        accountant_token = cost_context.ACCOUNTANT_VAR.set(accountant)
+        model = platform.model
+        model_token = None if model is None else cost_context.MODEL_VAR.set(model)
+        domain = self._domain
+        accountant.push_domain(domain)
+        try:
+            with obs.span(f"ecall:{self.name}.{label}", kind="ecall"):
+                accountant.charge_sgx(1)  # EENTER
+                accountant.charge_crossing()
+                trampoline = cost_context.MODEL_VAR.get().trampoline_normal
+                accountant.charge_normal(int(trampoline))
+                before = accountant.counter(domain).normal_instructions
+                program = self._program
+                results = []  # a loop: a comprehension costs a call here
+                try:
+                    for handler, args, kwargs in resolved:
+                        results.append(handler(program, *args, **kwargs))
+                    return results
+                finally:
+                    self._charge_async_exits(accountant, before)
+                    self._charge_aex_storm(accountant, label)
+                    accountant.charge_sgx(1)  # EEXIT
+        finally:
+            accountant.pop_domain()
+            if model_token is not None:
+                cost_context.MODEL_VAR.reset(model_token)
+            cost_context.ACCOUNTANT_VAR.reset(accountant_token)
 
     def _resolve_ecall(self, method: str):
         """Shared ecall validation: exported, existing, enclave alive."""
@@ -259,17 +254,10 @@ class Enclave:
         rate = self._platform.interrupt_rate
         if rate <= 0:
             return
-        executed = (
-            accountant.counter(self.domain).normal_instructions - normal_before
-        )
-        events = int(executed * rate)
-        if events <= 0:
-            return
-        model = cost_context.current_model()
-        accountant.charge_sgx(2 * events)          # AEX + ERESUME
-        accountant.charge_crossing(events)
-        accountant.charge_normal(model.aex_ssa_normal * events)
-        obs.instant("aex", count=events, cause="interrupt_rate")
+        executed = accountant.counter(self._domain).normal_instructions
+        events = int((executed - normal_before) * rate)
+        if events > 0:
+            self._charge_aex(accountant, events, cause="interrupt_rate")
 
     #: AEX+ERESUME pairs charged per injected interrupt storm.
     AEX_STORM_EVENTS = 32
@@ -282,15 +270,19 @@ class Enclave:
         plan = faults.current_plan()
         if plan is None:
             return
-        rule = plan.decide(faults.AEX_STORM, f"ecall:{self.name}:{method}")
-        if rule is None:
-            return
-        events = int(rule.param) if rule.param is not None else self.AEX_STORM_EVENTS
-        model = cost_context.current_model()
+        site = f"ecall:{self.name}:{method}"
+        rule = plan.decide(faults.AEX_STORM, site)
+        if rule is not None:
+            events = self.AEX_STORM_EVENTS if rule.param is None else int(rule.param)
+            self._charge_aex(accountant, events, cause="aex_storm", site=site)
+
+    @staticmethod
+    def _charge_aex(accountant, events: int, **args: Any) -> None:
+        """Charge ``events`` AEX + ERESUME pairs and their SSA work."""
         accountant.charge_sgx(2 * events)
         accountant.charge_crossing(events)
-        accountant.charge_normal(model.aex_ssa_normal * events)
-        obs.instant("aex", count=events, cause="aex_storm", site=f"ecall:{self.name}:{method}")
+        accountant.charge_normal(cost_context.current_model().aex_ssa_normal * events)
+        obs.instant("aex", count=events, **args)
 
     # -- lifecycle -----------------------------------------------------------
 

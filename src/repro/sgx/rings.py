@@ -343,13 +343,10 @@ class RingPair:
 
     # -- internals ---------------------------------------------------------
 
-    @contextlib.contextmanager
-    def _context(self) -> Iterator[None]:
+    def _context(self):
         """Charges flow to the owning platform's accountant/model."""
-        with cost_context.use_accountant(
-            self._platform.accountant, self._platform.model
-        ):
-            yield
+        platform = self._platform
+        return cost_context.use_accountant(platform.accountant, platform.model)
 
     def _worker_domain(self) -> str:
         return (

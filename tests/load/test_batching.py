@@ -8,10 +8,14 @@ K=1 charges exactly what the unbatched path charges, and any K
 returns the same results the unbatched path returns.
 """
 
+import contextlib
+
 import pytest
 
 from tests.fixtures import make_author_key, make_authority, make_platform
 
+from repro import faults
+from repro.cost import context as cost_context
 from repro.errors import ProtocolError, SgxError
 from repro.net.channel import (
     SecureRecordChannel,
@@ -19,6 +23,7 @@ from repro.net.channel import (
     encode_record_batch,
 )
 from repro.sgx import EnclaveProgram
+from repro.obs import Tracer
 from repro.sgx.attestation import SessionKeys
 
 
@@ -36,6 +41,11 @@ class ArithmeticProgram(EnclaveProgram):
     def boom(self):
         raise ValueError("handler failure")
 
+    def work(self, n):
+        """``add`` that also charges in-enclave compute (for AEX models)."""
+        cost_context.charge_app_normal(1_000 * n)
+        return self.add(n)
+
 
 def _fresh_enclave(tag):
     authority = make_authority(b"batch-auth:" + tag)
@@ -44,24 +54,59 @@ def _fresh_enclave(tag):
     return platform, platform.load_enclave(ArithmeticProgram(), author_key=key)
 
 
+def _k1_setting(setting, platform):
+    """Arm one K=1 parity setting; returns the fault plan to activate."""
+    if setting == "interrupts":
+        platform.interrupt_rate = 0.001
+    if setting == "aex_storm":
+        return faults.FaultPlan(
+            b"k1-parity", [faults.FaultRule(faults.AEX_STORM, max_count=1)]
+        )
+    return None
+
+
+def _k1_parity_counts(setting):
+    """Run one call unbatched and as a K=1 batch under ``setting``;
+    assert results, counters, trace records and fault log all match, and
+    return the enclave domain's counters."""
+    runs = {}
+    for mode in ("plain", "batch"):
+        platform, enclave = _fresh_enclave(mode.encode())
+        plan = _k1_setting(setting, platform)
+        tracer = Tracer()
+        tracer.attach(platform.accountant)
+        mark = tracer.mark()
+        before = platform.accountant.snapshot()
+        with faults.active(plan) if plan else contextlib.nullcontext():
+            if mode == "plain":
+                result = [enclave.ecall("work", 7)]
+            else:
+                # ``calls`` may be any iterable, not only a list.
+                result = enclave.ecall_batch(("work", (n,), {}) for n in (7,))
+        delta = platform.accountant.delta(before)
+        runs[mode] = (
+            result,
+            {d: c.as_dict() for d, c in delta.items()},
+            tracer.records(mark),
+            plan.log.digest() if plan else None,
+        )
+    assert runs["batch"] == runs["plain"]
+    return runs["plain"][1][enclave.domain]
+
+
 class TestEcallBatch:
     def test_single_element_batch_charges_exactly_one_ecall(self):
-        """K=1 parity, integer for integer — the load engine's batch=1
-        runs must reconcile against unbatched baselines exactly."""
-        p_plain, e_plain = _fresh_enclave(b"plain")
-        p_batch, e_batch = _fresh_enclave(b"batch")
+        """K=1 parity, integer for integer and record for record — the
+        load engine's batch=1 runs must reconcile against unbatched
+        baselines exactly, traced or not."""
+        assert _k1_parity_counts("plain")["enclave_crossings"] == 1
 
-        before_plain = p_plain.accountant.snapshot()
-        before_batch = p_batch.accountant.snapshot()
-        plain_result = e_plain.ecall("add", 7)
-        batch_result = e_batch.ecall_batch([("add", (7,), {})])
-
-        assert batch_result == [plain_result]
-        delta_plain = p_plain.accountant.delta(before_plain)
-        delta_batch = p_batch.accountant.delta(before_batch)
-        assert {d: c.as_dict() for d, c in delta_batch.items()} == {
-            d: c.as_dict() for d, c in delta_plain.items()
-        }
+    @pytest.mark.parametrize("setting", ["interrupts", "aex_storm"])
+    def test_single_element_batch_parity_under_aex(self, setting):
+        """K=1 parity also holds with interrupts or an injected AEX storm."""
+        counts = _k1_parity_counts(setting)
+        # The setting really charged asynchronous exits.
+        assert counts["enclave_crossings"] > 1
 
     def test_k_calls_pay_one_crossing(self):
         platform, enclave = _fresh_enclave(b"amortize")

@@ -5,8 +5,6 @@ from repro.cost.accountant import (
     CostAccountant,
     Counter,
     active_tracer,
-    burst_enabled,
-    configure_burst,
     disabled,
     set_active_tracer,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "cycles",
     "active_tracer",
     "set_active_tracer",
-    "burst_enabled",
-    "configure_burst",
     "format_count",
     "format_table",
     "counter_row",

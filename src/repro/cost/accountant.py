@@ -23,24 +23,6 @@ from typing import Any, Dict, Iterator, Optional
 
 UNTRUSTED = "untrusted"
 
-#: When off, :func:`burst_enabled` callers (the crypto-cache replay)
-#: fall back to one ``charge_*`` call per counter field instead of a
-#: single :meth:`CostAccountant.charge_burst`.  Both paths produce
-#: integer-identical counters and traces — the toggle exists so the
-#: golden-table tests can hold the two paths equal.
-_BURST = True
-
-
-def burst_enabled() -> bool:
-    """Whether per-burst charge coalescing is active."""
-    return _BURST
-
-
-def configure_burst(on: bool) -> None:
-    """Globally enable or disable per-burst charge coalescing."""
-    global _BURST
-    _BURST = bool(on)
-
 #: The tracer new accountants attach to, if any.  Lives here (not in
 #: :mod:`repro.obs`) so the cost layer never imports the observability
 #: layer; :func:`repro.obs.tracing` flips it for the duration of a

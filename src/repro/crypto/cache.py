@@ -33,7 +33,6 @@ import contextlib
 import functools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.cost import accountant as accountant_mod
 from repro.cost import context as cost_context
 
 __all__ = [
@@ -213,30 +212,16 @@ def _replay(accountant: Optional[Any], charges: Tuple[int, ...]) -> None:
     if accountant is None:
         return
     normal, sgx, crossings, allocations, switchless, faults = charges
-    if accountant_mod.burst_enabled():
-        # One coalesced call per burst; integer- and trace-identical to
-        # the per-field sequence below (charge_burst's contract).
-        accountant.charge_burst(
-            sgx=sgx,
-            normal=normal,
-            crossings=crossings,
-            allocations=allocations,
-            switchless=switchless,
-            faults=faults,
-        )
-        return
-    if normal:
-        accountant.charge_normal(normal)
-    if sgx:
-        accountant.charge_sgx(sgx)
-    if crossings:
-        accountant.charge_crossing(crossings)
-    if allocations:
-        accountant.charge_allocation(allocations)
-    if switchless:
-        accountant.charge_switchless(switchless)
-    if faults:
-        accountant.charge_fault(faults)
+    # One coalesced call per burst; integer- and trace-identical to the
+    # per-field charge sequence (charge_burst's contract).
+    accountant.charge_burst(
+        sgx=sgx,
+        normal=normal,
+        crossings=crossings,
+        allocations=allocations,
+        switchless=switchless,
+        faults=faults,
+    )
 
 
 def burst_charged(func: Callable) -> Callable:

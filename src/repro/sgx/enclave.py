@@ -183,8 +183,6 @@ class Enclave:
         self,
         capacity: int = 64,
         harvest_depth: int = 8,
-        spin_budget: int = 4,
-        backpressure: str = "fallback",
         worker: Any = None,
     ) -> Any:
         """Attach paired submission/completion ecall rings.
@@ -205,8 +203,6 @@ class Enclave:
             direction="ecall",
             capacity=capacity,
             harvest_depth=harvest_depth,
-            spin_budget=spin_budget,
-            backpressure=backpressure,
             worker=worker,
         )
         return self._ring_ecalls

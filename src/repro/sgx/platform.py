@@ -212,8 +212,6 @@ class SgxPlatform:
         direction: str = "ocall",
         capacity: int = 64,
         harvest_depth: int = 8,
-        spin_budget: int = 4,
-        backpressure: str = "fallback",
         worker=None,
         mode: str = "async",
     ):
@@ -222,10 +220,12 @@ class SgxPlatform:
         ``direction="ocall"`` gives the enclave ocalls serviced by an
         untrusted worker; ``direction="ecall"`` gives untrusted code
         ecalls serviced inside the enclave.  ``mode="async"`` rings
-        back ``EnclaveContext.ocall_submit``/``ocall_reap`` and
-        ``Enclave.ecall_submit``/``ecall_reap``; ``mode="sync"`` rings
-        are the switchless queues behind ``switchless=True`` and
-        ``Enclave.ecall_switchless``.
+        back ``Enclave.ecall_submit``/``ecall_reap``; ``mode="sync"``
+        rings are the switchless queues behind ``switchless=True`` and
+        ``Enclave.ecall_switchless``.  The mode fixes the rest: an async
+        ring spins :attr:`~repro.sgx.rings.RingPair.SPIN_BUDGET` worker
+        iterations before sleeping and takes the fallback crossing when
+        full; a sync ring never sleeps and drains through its worker.
         """
         from repro.sgx.rings import RingPair
 
@@ -235,8 +235,6 @@ class SgxPlatform:
             enclave_domain=enclave.domain,
             capacity=capacity,
             harvest_depth=harvest_depth,
-            spin_budget=spin_budget,
-            backpressure=backpressure,
             worker=worker,
             name=f"{enclave.name}-{direction}",
             mode=mode,

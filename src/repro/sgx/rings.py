@@ -14,7 +14,9 @@ genuine crossing drains the entire ring, so N calls cost 1/N crossings
 each instead of one.
 
 :class:`RingPair` models that mechanism on the repo's cost accounting,
-in one of two modes that differ only in what a descriptor costs:
+in one of two modes.  The mode fixes what a descriptor costs, the
+worker's polling and the backpressure (below), and the trace kind of
+the ring's spans (``switchless`` for sync, ``rings`` for async):
 
 * ``mode="async"`` — exitless async calls.  :meth:`RingPair.submit`
   posts a descriptor and returns a ticket without waiting;
@@ -29,13 +31,9 @@ in one of two modes that differ only in what a descriptor costs:
 One class serves both directions:
 
 * ``direction="ocall"`` — the enclave is the caller and the worker is
-  an untrusted host thread (``EnclaveContext.ocall_submit`` /
-  ``ocall_reap``; ``ocall``, ``send_packets`` and ``recv_packets``
-  with ``switchless=True``).  An async worker defaults to *running*:
-  the host has spare cores, and its polling is adaptive — it spins a
-  modeled budget (``spin_budget`` iterations, ``ring_spin_normal``
-  each) waiting for more submissions, then sleeps; a submission that
-  finds it asleep pays a doorbell (``ring_wakeup_normal``) to rouse it.
+  an untrusted host thread (``ocall``, ``send_packets`` and
+  ``recv_packets`` with ``switchless=True``).  A worker defaults to
+  *running*: the host has spare cores.
 * ``direction="ecall"`` — untrusted code is the caller and the worker
   runs inside the enclave (``Enclave.ecall_submit`` / ``ecall_reap``;
   ``Enclave.ecall_switchless``).  An async worker defaults to *not
@@ -43,15 +41,18 @@ One class serves both directions:
   a core, so instead the harvest itself pays one genuine crossing that
   drains every posted submission — crossings per call fall as 1/depth,
   which is exactly the grid ablation A14 measures on the middlebox
-  record path.
+  record path.  A relay that dedicates a cell-service thread passes
+  ``worker=True``.
 
-A sync worker is always awake: it never spins down, so it needs no
-doorbell.  Backpressure when the submission ring fills is
-deterministic either way: ``backpressure="block"`` drains through a
-live worker with no crossing (an async caller is charged a modeled
-spin-wait; a sync caller already spins on its slot),
-``backpressure="fallback"`` degrades to one genuine crossing that
-drains everything.  A sync ring always blocks.
+A live async worker polls adaptively: it spins a modeled budget
+(:attr:`RingPair.SPIN_BUDGET` iterations, ``ring_spin_normal`` each)
+waiting for more submissions, then sleeps; a submission that finds it
+asleep pays a doorbell (``ring_wakeup_normal``) to rouse it.  A sync
+worker is always awake: it never spins down, so it needs no doorbell.
+Backpressure when the submission ring fills follows the mode and is
+deterministic either way: a sync ring drains through its live worker
+with no crossing (the caller already spins on its slot); an async ring
+degrades to one genuine crossing that drains everything.
 
 Fault hooks (:mod:`repro.faults`): ``worker_stall`` stalls a sync
 :meth:`RingPair.call`, which then rides the fallback crossing with no
@@ -63,9 +64,10 @@ still-pending entry and pays a recovery crossing to fetch the result
 straight from the slot (the work is never re-executed, so side effects
 stay exactly-once).
 
-Results crossing *into* trusted code pass the caller-side ``validate``
-hook before any enclave code touches them — the same Iago-attack
-discipline as ordinary ocall returns (paper, Section 6).
+A sync call's result crossing *into* trusted code passes the
+caller-side ``validate`` hook before any enclave code touches it — the
+same Iago-attack discipline as ordinary ocall returns (paper,
+Section 6).
 """
 
 from __future__ import annotations
@@ -93,13 +95,11 @@ class RingStats:
     submitted: int = 0           #: descriptors posted to the submission ring
     completed: int = 0           #: entries executed by the worker/harvest
     reaped: int = 0              #: completions read back by the caller
-    cancelled: int = 0           #: submissions withdrawn before service
     polls: int = 0               #: worker harvest passes (no crossing)
     spins: int = 0               #: idle worker spin iterations charged
     sleeps: int = 0              #: spin budget exhausted -> worker slept
     wakeups: int = 0             #: doorbells paid to wake a slept worker
     overflows: int = 0           #: submissions that hit a full ring
-    overflow_spin: int = 0       #: spin-wait units charged by "block" mode
     fallback_crossings: int = 0  #: genuine crossings that drained the ring
     recovery_crossings: int = 0  #: crossings paid to fetch lost completions
     max_depth: int = 0           #: high-water mark of in-flight entries
@@ -112,7 +112,6 @@ class _Entry:
     func: Callable[..., Any]
     args: Tuple[Any, ...]
     kwargs: dict
-    validate: Optional[Callable[[Any], Any]] = None
     seq: int = -1             #: the ticket, assigned when a slot is taken
     done: bool = False        #: completion visible in the completion ring
     lost: bool = False        #: executed, but the completion write was lost
@@ -124,7 +123,8 @@ class RingPair:
     """Paired submission/completion rings across the enclave boundary."""
 
     DIRECTIONS = ("ocall", "ecall")
-    BACKPRESSURE_MODES = ("block", "fallback")
+    #: idle spin iterations a live async worker burns before sleeping.
+    SPIN_BUDGET = 4
 
     def __init__(
         self,
@@ -133,8 +133,6 @@ class RingPair:
         enclave_domain: str,
         capacity: int = 64,
         harvest_depth: int = 8,
-        spin_budget: int = 4,
-        backpressure: str = "fallback",
         worker: Optional[bool] = None,
         name: str = "",
         mode: str = "async",
@@ -143,25 +141,23 @@ class RingPair:
             raise SgxError(f"unknown ring direction {direction!r}")
         if mode not in _DESCRIPTOR_COST:
             raise SgxError(f"unknown ring mode {mode!r}")
-        if backpressure not in self.BACKPRESSURE_MODES:
-            raise SgxError(f"unknown ring backpressure mode {backpressure!r}")
         if capacity <= 0:
             raise SgxError("ring needs at least one slot")
         if harvest_depth <= 0:
             raise SgxError("ring harvest depth must be positive")
-        if spin_budget < 0:
-            raise SgxError("ring spin budget must be non-negative")
         self._platform = platform
         self.direction = direction
         self.enclave_domain = enclave_domain
         self.synchronous = mode == "sync"
+        #: trace kind of this ring's spans: a sync ring is the switchless
+        #: queue, so its spans share the switchless front doors' kind.
+        self._kind = "switchless" if self.synchronous else "rings"
         self._descriptor_cost = _DESCRIPTOR_COST[mode]
         self.capacity = capacity
         #: a live worker drains the ring every this-many submissions
         #: (models its polling period relative to caller progress).
         self.harvest_depth = harvest_depth
-        self.spin_budget = 0 if self.synchronous else spin_budget
-        self.backpressure = "block" if self.synchronous else backpressure
+        self._spin_budget = 0 if self.synchronous else self.SPIN_BUDGET
         self.name = name or f"rings-{direction}"
         # An in-enclave polling worker would burn a TCS + core, so an
         # async ecall ring defaults to the worker-less exitless regime
@@ -170,10 +166,10 @@ class RingPair:
             worker = self.synchronous or direction == "ocall"
         self._worker_running = worker
         self._worker_asleep = False
-        self._spin_credit = self.spin_budget
+        self._spin_credit = self._spin_budget
         self._subs_since_harvest = 0
         self._next_seq = 0
-        #: submitted-and-not-yet-reaped-or-cancelled entries, by ticket
+        #: submitted-and-not-yet-reaped entries, by ticket
         #: in submission order (drives the in-order walk of reap_all).
         self._entries: Dict[int, _Entry] = {}
         #: unserviced submission descriptors, seq order (the ring proper;
@@ -187,20 +183,6 @@ class RingPair:
     def worker_running(self) -> bool:
         return self._worker_running
 
-    def pause_worker(self) -> None:
-        """Model the worker descheduled: harvests degrade to genuine
-        crossings until :meth:`resume_worker`."""
-        self._worker_running = False
-
-    def resume_worker(self) -> None:
-        """Worker is back: it immediately catches up on the backlog."""
-        self._worker_running = True
-        self._worker_asleep = False
-        self._spin_credit = self.spin_budget
-        if self._submission:
-            with self._context():
-                self._harvest()
-
     @property
     def depth(self) -> int:
         """Currently unserviced submission descriptors."""
@@ -208,7 +190,7 @@ class RingPair:
 
     @property
     def in_flight(self) -> int:
-        """Submitted entries not yet reaped or cancelled."""
+        """Submitted entries not yet reaped."""
         return len(self._entries)
 
     # -- the async call interface ------------------------------------------
@@ -218,18 +200,15 @@ class RingPair:
         func: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         kwargs: Optional[dict] = None,
-        validate: Optional[Callable[[Any], Any]] = None,
     ) -> int:
         """Post one request descriptor; returns its ticket.
 
         The caller does not wait: the entry is executed on the worker's
         next harvest pass (every ``harvest_depth`` submissions), by a
-        later :meth:`reap`/:meth:`reap_all`, or — ring full, per the
-        backpressure mode — by a block-and-charge drain or one genuine
-        crossing.  ``validate`` runs on the caller's side at reap time,
-        before the result is returned.
+        later :meth:`reap`/:meth:`reap_all`, or — ring full — by one
+        genuine crossing that drains it.
         """
-        entry = _Entry(func, args, kwargs or {}, validate)
+        entry = _Entry(func, args, kwargs or {})
         self._post(entry, keep=True)
         return entry.seq
 
@@ -237,14 +216,14 @@ class RingPair:
         """Read one completion; services the ring first if needed.
 
         Raises the entry's stored ``repro.errors`` exception if its
-        execution failed, and :class:`SgxError` for unknown, cancelled
-        or already-reaped tickets.
+        execution failed, and :class:`SgxError` for unknown or
+        already-reaped tickets.
         """
         with self._context():
             entry = self._entries.pop(ticket, None)
             if entry is None:
                 stale = 0 <= ticket < self._next_seq
-                why = "was reaped or cancelled" if stale else "is unknown"
+                why = "was reaped" if stale else "is unknown"
                 raise SgxError(f"ring '{self.name}': ticket {ticket} {why}")
             if not (entry.done or entry.lost):
                 self._service_or_fallback()
@@ -265,22 +244,6 @@ class RingPair:
                 (seq, self._read_completion(self._entries.pop(seq)))
                 for seq in list(self._entries)
             ]
-
-    def cancel(self, ticket: int) -> bool:
-        """Withdraw a still-pending submission; True on success.
-
-        Refused (False, strict no-op) once the entry has been serviced,
-        reaped, or cancelled — mirroring the calendar queue's
-        cancel-after-pop semantics, so a stale ticket can never corrupt
-        the ring's live bookkeeping.
-        """
-        entry = self._entries.get(ticket)
-        if entry is None or entry.done or entry.lost:
-            return False
-        del self._entries[ticket]
-        self._submission.remove(entry)
-        self.stats.cancelled += 1
-        return True
 
     def flush(self) -> int:
         """Service every outstanding submission; returns how many ran."""
@@ -366,7 +329,7 @@ class RingPair:
                 # Doorbell: futex-wake the slept worker before posting.
                 cost_context.charge_normal(model.ring_wakeup_normal)
                 self._worker_asleep = False
-                self._spin_credit = self.spin_budget
+                self._spin_credit = self._spin_budget
                 self.stats.wakeups += 1
                 obs.instant("ring_worker_wake", ring=self.name)
                 obs.metric_count("ring_doorbells")
@@ -408,23 +371,16 @@ class RingPair:
         obs.metric_gauge("ring_occupancy", len(self._submission))
 
     def _overflow(self) -> None:
-        """Submission ring full: block-and-drain or cross, both exact."""
+        """Submission ring full: a sync ring drains through its worker,
+        an async ring crosses; both exact."""
         self.stats.overflows += 1
         obs.instant(
             "ring_overflow",
             ring=self.name,
             backlog=len(self._submission),
-            mode=self.backpressure,
+            mode="block" if self.synchronous else "fallback",
         )
-        if self.backpressure == "block" and self._worker_running:
-            if not self.synchronous:
-                # The caller spins until the worker's drain frees the
-                # slots: one modeled spin iteration per occupied slot.
-                backlog = len(self._submission)
-                cost_context.charge_normal(
-                    cost_context.current_model().ring_spin_normal * backlog
-                )
-                self.stats.overflow_spin += backlog
+        if self.synchronous and self._worker_running:
             self._harvest()
         else:
             self._fallback_harvest()
@@ -450,9 +406,9 @@ class RingPair:
             return
         self.stats.polls += 1
         self._subs_since_harvest = 0
-        self._spin_credit = self.spin_budget
+        self._spin_credit = self._spin_budget
         with self._platform.accountant.attribute(self._worker_domain()):
-            with obs.span(f"rings:harvest:{self.name}", kind="rings"):
+            with obs.span(f"rings:harvest:{self.name}", kind=self._kind):
                 cost_context.charge_normal(
                     cost_context.current_model().ring_poll_normal
                 )
@@ -470,7 +426,7 @@ class RingPair:
         """
         self.stats.fallback_crossings += 1
         self._subs_since_harvest = 0
-        self._spin_credit = self.spin_budget
+        self._spin_credit = self._spin_budget
         obs.instant(
             "ring_fallback", ring=self.name, backlog=len(self._submission)
         )
@@ -513,7 +469,7 @@ class RingPair:
             if self.direction == "ocall"
             else (UserInstruction.EENTER, UserInstruction.EEXIT)
         )
-        with obs.span(f"rings:{what}:{self.name}", kind="rings"):
+        with obs.span(f"rings:{what}:{self.name}", kind=self._kind):
             with accountant.attribute(self.enclave_domain):
                 execute_user(enter)
                 accountant.charge_crossing()
@@ -543,5 +499,4 @@ class RingPair:
         obs.instant("ring_reap", ring=self.name, ticket=entry.seq)
         if entry.error is not None:
             raise entry.error
-        result = entry.result
-        return entry.validate(result) if entry.validate is not None else result
+        return entry.result

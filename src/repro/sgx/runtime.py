@@ -61,7 +61,6 @@ class EnclaveContext:
         self._heap_used = 0
         self._heap_pages = 1  # one data page pre-allocated at load
         self._switchless = None  # installed by enable_switchless()
-        self._rings = None  # installed by enable_rings()
         # EPC indices of the heap pages (initial page is the last one
         # added at load time); grows with alloc().
         enclave_pages = getattr(enclave, "_pages", None)
@@ -213,80 +212,6 @@ class EnclaveContext:
                 result = func(*args, **kwargs)
             execute_user(UserInstruction.ERESUME)
             return result
-
-    # -- async ocall rings (switchless v2) --------------------------------
-
-    def enable_rings(
-        self,
-        capacity: int = 64,
-        harvest_depth: int = 8,
-        spin_budget: int = 4,
-        backpressure: str = "fallback",
-        worker: Any = None,
-    ) -> Any:
-        """Attach paired submission/completion ocall rings.
-
-        After this, :meth:`ocall_submit` posts async ocalls — the
-        enclave keeps running while an adaptive untrusted worker
-        (spin → sleep, doorbell wakeup) drains the submission ring —
-        and :meth:`ocall_reap`/:meth:`ocall_reap_all` harvest the
-        completions.  Returns the ring pair (its ``stats`` field is
-        what ablation A14 reports).
-
-        Re-enabling replaces the rings; any backlog pending on the old
-        pair is drained first so posted calls are never lost.
-        """
-        if self._rings is not None:
-            self._rings.flush()
-        self._rings = self._platform.create_ring(
-            self._enclave,
-            direction="ocall",
-            capacity=capacity,
-            harvest_depth=harvest_depth,
-            spin_budget=spin_budget,
-            backpressure=backpressure,
-            worker=worker,
-        )
-        return self._rings
-
-    @property
-    def rings(self) -> Any:
-        """The attached ocall ring pair, or None."""
-        return self._rings
-
-    def ocall_submit(
-        self,
-        func: Callable[..., Any],
-        *args: Any,
-        validate: Optional[Callable[[Any], Any]] = None,
-        **kwargs: Any,
-    ) -> int:
-        """Post an async ocall into the submission ring; returns a ticket.
-
-        The enclave does not leave or stall: the descriptor is written
-        to untrusted shared memory and the worker services it on a
-        later harvest pass.  ``validate`` is the enclave's Iago check,
-        applied to the result at reap time before enclave code touches
-        it.  Requires :meth:`enable_rings` first.
-        """
-        if self._rings is None:
-            raise SgxError(
-                "ring ocall submitted but enable_rings() was never "
-                "called on this enclave"
-            )
-        return self._rings.submit(func, args, kwargs, validate=validate)
-
-    def ocall_reap(self, ticket: int) -> Any:
-        """Harvest one async ocall completion by ticket."""
-        if self._rings is None:
-            raise SgxError("no ocall rings attached (call enable_rings() first)")
-        return self._rings.reap(ticket)
-
-    def ocall_reap_all(self) -> Any:
-        """Harvest every outstanding async ocall, in submission order."""
-        if self._rings is None:
-            raise SgxError("no ocall rings attached (call enable_rings() first)")
-        return self._rings.reap_all()
 
     @property
     def quoting_target_info(self) -> TargetInfo:

@@ -7,10 +7,11 @@ and in any combination.  This module is where the test suite flips
 them together.  A :class:`Knobs` vector names one point of the
 lattice, :func:`applied` puts the process at that point, and
 :func:`outputs` runs a scenario there and returns everything it
-modeled, digested per field.  Burst charging and the crypto caches
-flip through the package's own switches; the event kernel and the DPI
+modeled, digested per field.  The crypto caches flip through the
+package's own switch; burst charging, the event kernel and the DPI
 walk flip by swapping in the frozen oracles of ``tests/oracles/``
-(for :func:`repro.net.sim.create` and ``dpi.AhoCorasick``).
+(for ``CostAccountant.charge_burst``, :func:`repro.net.sim.create`
+and ``dpi.AhoCorasick``).
 
 The all-oracle vector :data:`ORACLE` runs the frozen reference kernel,
 per-field charging, cold crypto and the frozen reference automaton walk
@@ -35,7 +36,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro import experiments, faults, obs
-from repro.cost import CostAccountant, accountant
+from repro.cost import CostAccountant
 from repro.cost import context as cost_context
 from repro.crypto import cache
 from repro.errors import ReproError
@@ -51,6 +52,7 @@ from repro.obs.slo import (
     run_health,
 )
 from tests.oracles import sim_reference
+from tests.oracles.charge_reference import charge_burst_per_field
 from tests.oracles.dpi_reference import ReferenceAhoCorasick
 
 
@@ -86,6 +88,7 @@ KNOBS = st.builds(
 
 _COMPILED = dpi.AhoCorasick
 _KERNELS = {"fast": sim.create, "reference": sim_reference.Simulator}
+_BURST = CostAccountant.charge_burst
 
 
 class _ReferenceWalk(_COMPILED):
@@ -110,8 +113,8 @@ def applied(knobs: Knobs):
     """Run the block at ``knobs``; yields the observer's tracer or None."""
     create = _KERNELS[knobs.kernel]  # an unknown name changes nothing
     prior_create, prior_walk = sim.create, dpi.AhoCorasick
-    prior_burst = accountant.burst_enabled()
-    accountant.configure_burst(knobs.burst)
+    prior_burst = CostAccountant.charge_burst
+    CostAccountant.charge_burst = _BURST if knobs.burst else charge_burst_per_field
     dpi.AhoCorasick = _ReferenceWalk if knobs.dpi == "reference" else _COMPILED
     sim.create = create
     try:
@@ -119,7 +122,7 @@ def applied(knobs: Knobs):
             yield _OBSERVERS[knobs.observer]()
     finally:
         sim.create, dpi.AhoCorasick = prior_create, prior_walk
-        accountant.configure_burst(prior_burst)
+        CostAccountant.charge_burst = prior_burst
 
 
 def without_cohort_families(text: str) -> str:
@@ -181,8 +184,9 @@ def health(batch: int) -> Scenario:
 
 @cache.memoize_charged(name="lattice-leaf")
 def _leaf(normal: int, sgx: int, crossings: int, switchless: int) -> int:
-    """A memoized leaf charging each counter field: its replays are the
-    only place ``charge_burst`` and the per-field sequence both run."""
+    """A memoized leaf charging each counter field: its replays land
+    every field through one ``charge_burst``, which the ``burst=False``
+    arm charges field by field."""
     cost_context.charge_normal(normal)
     cost_context.charge_sgx(sgx)
     cost_context.current_accountant().charge_crossing(crossings)

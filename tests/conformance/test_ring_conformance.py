@@ -45,9 +45,6 @@ ENCLAVE_DOMAIN = "enclave:conformance"
 #   ("call", value)  — one async-able ocall carrying value-dependent cost
 #   ("barrier",)     — reap every outstanding ticket (in order)
 #   ("flush",)       — service the ring without reaping (sync: no-op)
-# Cancellation is deliberately absent: the sync arm has nothing to
-# cancel (every call completes inline), so cancel semantics are pinned
-# by tests/sgx/test_rings.py instead.
 _program = st.lists(
     st.one_of(
         st.tuples(st.just("call"), st.integers(min_value=0, max_value=99)),
@@ -60,9 +57,7 @@ _program = st.lists(
 _geometry = st.fixed_dictionaries(
     {
         "harvest_depth": st.integers(min_value=1, max_value=10),
-        "spin_budget": st.integers(min_value=0, max_value=6),
         "capacity": st.integers(min_value=1, max_value=8),
-        "backpressure": st.sampled_from(["block", "fallback"]),
     }
 )
 
@@ -106,8 +101,6 @@ def _run_rings(program, geometry, tracer=None):
             ENCLAVE_DOMAIN,
             capacity=geometry["capacity"],
             harvest_depth=geometry["harvest_depth"],
-            spin_budget=geometry["spin_budget"],
-            backpressure=geometry["backpressure"],
         )
         log = []
         results = {}
@@ -157,7 +150,7 @@ def _boundary(stats, model, descriptor_normal):
         stats.submitted * descriptor_normal
         + stats.reaped * model.ring_reap_normal
         + stats.polls * model.ring_poll_normal
-        + (stats.spins + stats.overflow_spin) * model.ring_spin_normal
+        + stats.spins * model.ring_spin_normal
         + stats.wakeups * model.ring_wakeup_normal
         + crossings * (model.trampoline_normal + model.ring_fallback_normal)
     )
@@ -216,12 +209,7 @@ def test_conformance_random_programs(program, geometry):
 class TestKnownPrograms:
     """Deterministic corner programs, always run (no hypothesis)."""
 
-    GEOMETRY = {
-        "harvest_depth": 4,
-        "spin_budget": 2,
-        "capacity": 4,
-        "backpressure": "fallback",
-    }
+    GEOMETRY = {"harvest_depth": 4, "capacity": 4}
 
     def test_empty_barriers_only(self):
         _check_conformance([("barrier",), ("flush",), ("barrier",)], self.GEOMETRY)
@@ -242,8 +230,8 @@ class TestKnownPrograms:
             self.GEOMETRY,
         )
 
-    def test_block_backpressure_geometry(self):
-        geometry = dict(self.GEOMETRY, backpressure="block", capacity=2)
+    def test_tiny_capacity_geometry(self):
+        geometry = dict(self.GEOMETRY, capacity=2)
         _check_conformance([("call", v) for v in range(9)], geometry)
 
 
@@ -254,12 +242,9 @@ class TestTracedReconciliation:
         instants all appear."""
         tracer = obs.Tracer()
         program = [("call", v) for v in range(9)] + [("barrier",)]
-        geometry = {
-            "harvest_depth": 3,
-            "spin_budget": 1,
-            "capacity": 4,
-            "backpressure": "fallback",
-        }
+        # Depth 6 outlasts the worker's spin budget: it sleeps after the
+        # fourth call and the fifth rings its doorbell.
+        geometry = {"harvest_depth": 6, "capacity": 8}
         _run_rings(program, geometry, tracer=tracer)
         obs.reconcile(tracer)  # raises ReconcileError on any mismatch
         names = {i.name for i in tracer.instants}

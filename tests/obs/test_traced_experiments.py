@@ -126,3 +126,35 @@ class TestTracedScenarios:
         names = {i.name for i in tracer.instants}
         assert "switchless_hit" in names
         assert "crossing" in names
+
+    def test_sync_and_async_ring_spans_keep_their_own_kind(self):
+        """One middlebox enclave runs both a sync ring (the switchless
+        ecall queue) and an async ring, under the same name.  Each
+        ring's spans carry its own kind, so a trace tells them apart."""
+        from repro.middlebox.scenarios import MiddleboxScenario
+
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            scenario = MiddleboxScenario(
+                n_middleboxes=1, switchless=True, rings=True
+            )
+            scenario.run([b"a", b"b"], pipeline=True)
+        obs.reconcile(tracer)
+        enclave = scenario.middleboxes[0].enclave
+        rings = {
+            "switchless": enclave.switchless_ecalls,
+            "rings": enclave.ring_ecalls,
+        }
+        assert len({ring.name for ring in rings.values()}) == 1
+        for kind, ring in rings.items():
+            spans = [
+                s for s in tracer.spans
+                if s.kind == kind and s.name.startswith("rings:")
+                and s.name.endswith(f":{ring.name}")
+            ]
+            stats = ring.stats
+            passes = (
+                stats.polls + stats.fallback_crossings + stats.recovery_crossings
+            )
+            assert passes > 0
+            assert len(spans) == passes

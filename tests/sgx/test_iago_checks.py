@@ -10,6 +10,7 @@ compromised ocall target.
 
 import pytest
 
+from repro import faults
 from repro.crypto.drbg import Rng
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import SgxError
@@ -90,13 +91,14 @@ class TestIagoChecks:
 
 class TestSwitchlessWorkerResponses:
     def test_paused_worker_fallback_still_validates(self, enclave):
-        # With the worker paused the call degrades to a real crossing —
+        # With the worker stalled the call degrades to a real crossing —
         # the Iago checks must hold on that path too.
-        enclave.ctx.switchless.pause_worker()
         huge = b"\x00" * (EnclaveContext.MAX_PACKET_BYTES + 1)
-        with pytest.raises(SgxError, match="byte packet"):
+        plan = faults.FaultPlan(0, [faults.FaultRule(faults.WORKER_STALL)])
+        with faults.active(plan), pytest.raises(SgxError, match="byte packet"):
             _recv(enclave, lambda: [huge], True)
-        enclave.ctx.switchless.resume_worker()
+        assert enclave.ctx.switchless.stats.fallback_crossings == 1
+        assert len(plan.log) == 1
 
     def test_queue_validate_hook_applies_to_call(self, enclave):
         # Directly exercise the queue API the runtime builds on.

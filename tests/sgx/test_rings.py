@@ -1,19 +1,20 @@
 """Property and mechanics suite for the async I/O rings (repro.sgx.rings).
 
 The hypothesis property drives arbitrary interleavings of submit /
-reap / reap_all / cancel / flush against the dumbest correct model
-there is — a dict of entries walked in submission (seq) order — and
+reap / reap_all / flush against the dumbest correct model there is — a
+dict of entries walked in submission (seq) order — and
 :class:`~repro.sgx.rings.RingPair` must never disagree: not on ticket
-numbers, not on results, not on which cancels are refused, not on the
+numbers, not on results, not on which reaps are refused, not on the
 order ``reap_all`` returns completions.  Wrap-around falls out of tiny
 ring capacities (slot index is seq mod capacity), and full-ring
 backpressure out of the overflow service points the model mirrors.
 
 The deterministic classes below pin the modeled costs against
 ``DEFAULT_MODEL`` field by field: submit/reap marshalling, the
-adaptive spin -> sleep -> doorbell worker cycle, both backpressure
-modes, and the worker-less fallback crossing that ablation A14 rests
-on.  :class:`TestRingsAblationGrid` pins the A14 grid itself.
+adaptive spin -> sleep -> doorbell worker cycle, the backpressure each
+mode implies (sync drains through its worker, async crosses), and the
+worker-less fallback crossing that ablation A14 rests on.
+:class:`TestRingsAblationGrid` pins the A14 grid itself.
 """
 
 import pytest
@@ -22,12 +23,13 @@ from hypothesis import strategies as st
 
 from tests.fixtures import make_author_key
 
-from repro import experiments
+from repro import experiments, faults
 from repro.cost import DEFAULT_MODEL
-from repro.cost import context as cost_context
 from repro.crypto.drbg import Rng
 from repro.errors import SgxError
 from repro.sgx import EnclaveProgram, RingPair, SgxPlatform
+
+SPIN_BUDGET = RingPair.SPIN_BUDGET
 
 
 def _value_of(x: int) -> int:
@@ -90,7 +92,6 @@ class _ModelRing:
             "value": _value_of(value),
             "serviced": False,
             "reaped": False,
-            "cancelled": False,
         }
         self.order.append(seq)
         self.pending.append(seq)
@@ -99,7 +100,7 @@ class _ModelRing:
     def reap(self, seq: int):
         """The entry's value, or None where the real ring must raise."""
         entry = self.entries.get(seq)
-        if entry is None or entry["cancelled"] or entry["reaped"]:
+        if entry is None or entry["reaped"]:
             return None
         if not entry["serviced"]:
             self._service()
@@ -111,24 +112,11 @@ class _ModelRing:
         out = []
         for seq in self.order:
             entry = self.entries[seq]
-            if entry["reaped"] or entry["cancelled"]:
+            if entry["reaped"]:
                 continue
             entry["reaped"] = True
             out.append((seq, entry["value"]))
         return out
-
-    def cancel(self, seq: int) -> bool:
-        entry = self.entries.get(seq)
-        if (
-            entry is None
-            or entry["serviced"]
-            or entry["reaped"]
-            or entry["cancelled"]
-        ):
-            return False
-        entry["cancelled"] = True
-        self.pending.remove(seq)
-        return True
 
     def flush(self) -> int:
         count = len(self.pending)
@@ -141,22 +129,16 @@ class _ModelRing:
 
     @property
     def in_flight(self) -> int:
-        return sum(
-            1
-            for seq in self.order
-            if not self.entries[seq]["reaped"]
-            and not self.entries[seq]["cancelled"]
-        )
+        return sum(1 for seq in self.order if not self.entries[seq]["reaped"])
 
 
 # One program = a sequence of operations; indices address the k-th
-# ticket ever issued (mod count), so cancels and reaps hit live,
-# consumed and cancelled entries alike.
+# ticket ever issued (mod count), so reaps hit live and consumed
+# entries alike.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.integers(min_value=0, max_value=99)),
         st.tuples(st.just("reap"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("reap_all")),
         st.tuples(st.just("flush")),
     ),
@@ -177,19 +159,16 @@ def test_property_matches_model_worker_less(ops, capacity):
             real = ring.submit(_value_of, (op[1],))
             assert real == model.submit(op[1])
             tickets.append(real)
-        elif op[0] in ("reap", "cancel"):
+        elif op[0] == "reap":
             if not tickets:
                 continue
             ticket = tickets[op[1] % len(tickets)]
-            if op[0] == "cancel":
-                assert ring.cancel(ticket) == model.cancel(ticket)
+            expected = model.reap(ticket)
+            if expected is None:
+                with pytest.raises(SgxError):
+                    ring.reap(ticket)
             else:
-                expected = model.reap(ticket)
-                if expected is None:
-                    with pytest.raises(SgxError):
-                        ring.reap(ticket)
-                else:
-                    assert ring.reap(ticket) == expected
+                assert ring.reap(ticket) == expected
         elif op[0] == "reap_all":
             assert ring.reap_all() == model.reap_all()
         else:
@@ -200,9 +179,6 @@ def test_property_matches_model_worker_less(ops, capacity):
     assert ring.reap_all() == model.reap_all()
     assert ring.in_flight == 0
     assert ring.stats.submitted == model.seq
-    assert ring.stats.cancelled == sum(
-        1 for e in model.entries.values() if e["cancelled"]
-    )
     assert ring.stats.reaped == sum(
         1 for e in model.entries.values() if e["reaped"]
     )
@@ -212,20 +188,16 @@ def test_property_matches_model_worker_less(ops, capacity):
 @given(
     values=st.lists(st.integers(min_value=0, max_value=99), max_size=40),
     harvest_depth=st.integers(min_value=1, max_value=10),
-    spin_budget=st.integers(min_value=0, max_value=6),
 )
-def test_property_live_worker_preserves_order_and_books(
-    values, harvest_depth, spin_budget
-):
+def test_property_live_worker_preserves_order_and_books(values, harvest_depth):
     """Ocall-direction ring with a live adaptive worker: completions
-    come back in submission order whatever the harvest/spin geometry,
-    and the spin/sleep/wakeup books stay consistent."""
+    come back in submission order whatever the harvest depth, and the
+    spin/sleep/wakeup books stay consistent."""
     platform = SgxPlatform("ring-prop-w", rng=Rng(b"ring-prop-w"))
     ring = _make_ring(
         platform,
         direction="ocall",
         harvest_depth=harvest_depth,
-        spin_budget=spin_budget,
         capacity=64,
     )
     assert ring.worker_running
@@ -239,8 +211,8 @@ def test_property_live_worker_preserves_order_and_books(
     # Every sleep is entered through an exhausted budget and left
     # through exactly one doorbell (except a final sleep nothing woke).
     assert stats.wakeups in (stats.sleeps, stats.sleeps - 1)
-    if spin_budget == 0:
-        assert stats.spins == 0
+    if harvest_depth <= SPIN_BUDGET:
+        assert stats.sleeps == 0  # every pass comes before the budget runs out
     if len(values) >= harvest_depth:
         assert stats.polls >= 1
     # A live worker never needs the crossing fallback.
@@ -261,9 +233,7 @@ class TestConstruction:
         with pytest.raises(SgxError):
             _make_ring(platform, harvest_depth=0)
         with pytest.raises(SgxError):
-            _make_ring(platform, spin_budget=-1)
-        with pytest.raises(SgxError):
-            _make_ring(platform, backpressure="panic")
+            _make_ring(platform, mode="panic")
 
     def test_worker_defaults_by_direction(self, platform):
         # Host cores are cheap: the ocall direction polls by default.
@@ -311,9 +281,8 @@ class TestCosts:
         assert ring.stats.fallback_crossings == 1
 
     def test_adaptive_worker_spin_sleep_doorbell_cycle(self, platform):
-        ring = _make_ring(
-            platform, direction="ocall", harvest_depth=8, spin_budget=4
-        )
+        assert SPIN_BUDGET == 4
+        ring = _make_ring(platform, direction="ocall", harvest_depth=8)
         for i in range(8):
             ring.submit(_value_of, (i,))
         stats = ring.stats
@@ -329,13 +298,12 @@ class TestCosts:
         assert stats.fallback_crossings == 0
 
     def test_doorbell_charges_wakeup_cost(self, platform):
-        ring = _make_ring(
-            platform, direction="ocall", harvest_depth=64, spin_budget=1
-        )
-        ring.submit(_value_of, (0,))  # exhausts the 1-spin budget
+        ring = _make_ring(platform, direction="ocall", harvest_depth=64)
+        for i in range(SPIN_BUDGET):  # exhausts the spin budget
+            ring.submit(_value_of, (i,))
         assert ring.stats.sleeps == 1
         before = platform.accountant.snapshot()
-        ring.submit(_value_of, (1,))
+        ring.submit(_value_of, (SPIN_BUDGET,))
         total = _total(platform.accountant.delta(before))
         assert ring.stats.wakeups == 1
         assert total.normal_instructions == (
@@ -363,39 +331,47 @@ class TestCosts:
 
 
 class TestBackpressure:
+    """A full sync ring blocks (drains through its worker); a full async
+    ring falls back to one crossing that drains everything."""
+
     def test_block_mode_spins_without_crossing(self, platform):
+        # The caller of a sync ring already spins on its slot, so the
+        # drain through the live worker charges no spin-wait either.
         ring = _make_ring(
-            platform,
-            direction="ocall",
-            capacity=2,
-            harvest_depth=100,
-            spin_budget=0,
-            backpressure="block",
+            platform, direction="ocall", capacity=2, harvest_depth=100,
+            mode="sync",
         )
+        ran = []
         before = platform.accountant.snapshot()
         for i in range(5):
-            ring.submit(_value_of, (i,))
+            ring.post(ran.append, (i,))
         delta = platform.accountant.delta(before)
         assert all(c.enclave_crossings == 0 for c in delta.values())
-        assert ring.stats.overflows == 2  # 3rd and 5th submit found it full
-        assert ring.stats.overflow_spin == 4  # backlog of 2, twice
+        assert ring.stats.overflows == 2  # 3rd and 5th post found it full
+        assert ring.stats.polls == 2
+        assert ring.stats.spins == 0
         assert ring.stats.fallback_crossings == 0
         assert ring.stats.max_depth == 2
-        assert ring.reap_all() == [(i, _value_of(i)) for i in range(5)]
+        ring.flush()
+        assert ran == list(range(5))
 
     def test_block_without_worker_degrades_to_crossing(self, platform):
-        ring = _make_ring(platform, capacity=2, backpressure="block")
+        ring = _make_ring(platform, capacity=2, mode="sync", worker=False)
         assert not ring.worker_running
+        ran = []
         for i in range(3):
-            ring.submit(_value_of, (i,))
+            ring.post(ran.append, (i,))
         # The blocked caller has no worker to wait on: the overflow
         # must degrade to the fallback crossing, not hang.
         assert ring.stats.overflows == 1
         assert ring.stats.fallback_crossings == 1
-        assert ring.reap_all() == [(i, _value_of(i)) for i in range(3)]
+        assert ran == [0, 1]
+        ring.flush()
+        assert ran == [0, 1, 2]
 
     def test_fallback_mode_crossing_drains_everything(self, platform):
-        ring = _make_ring(platform, capacity=3, backpressure="fallback")
+        # An async ring falls back even with a live worker to wait on.
+        ring = _make_ring(platform, capacity=3, worker=True, harvest_depth=100)
         before = platform.accountant.snapshot()
         for i in range(7):  # overflows capacity 3 twice
             ring.submit(_value_of, (i,))
@@ -406,47 +382,35 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# Worker lifecycle, validation hooks, error transport
+# Worker stalls, validation hooks, error transport
 # ---------------------------------------------------------------------------
 
 
 class TestLifecycleAndHooks:
-    def test_pause_then_resume_catches_up(self, platform):
-        ring = _make_ring(platform, direction="ocall", harvest_depth=100)
-        ring.pause_worker()
-        ran = []
-        ring.submit(ran.append, (1,))
-        ring.submit(ran.append, (2,))
-        assert ran == []
-        ring.resume_worker()
-        assert ran == [1, 2]
-        assert ring.stats.polls == 1
-
     def test_paused_worker_service_pays_crossing(self, platform):
+        # An injected stall deschedules the worker for one harvest pass:
+        # that pass degrades to one crossing that drains the ring.
         ring = _make_ring(platform, direction="ocall", harvest_depth=100)
-        ring.pause_worker()
         ring.submit(_value_of, (5,))
-        assert ring.reap_all() == [(0, _value_of(5))]
+        plan = faults.FaultPlan(0, [faults.FaultRule(faults.RING_WORKER_STALL)])
+        with faults.active(plan):
+            assert ring.reap_all() == [(0, _value_of(5))]
+        assert ring.worker_running
         assert ring.stats.fallback_crossings == 1
-
-    def test_validate_runs_on_callers_side_at_reap(self, platform):
-        # The Iago discipline: untrusted results pass the enclave's
-        # validator before any trusted code consumes them.
-        ring = _make_ring(platform, direction="ocall")
-        ticket = ring.submit(
-            _value_of, (3,), validate=lambda v: v * 10
-        )
-        assert ring.reap(ticket) == _value_of(3) * 10
+        assert ring.stats.polls == 0
+        assert len(plan.log) == 1
 
     def test_validate_rejection_propagates(self, platform):
-        ring = _make_ring(platform, direction="ocall")
+        # The Iago discipline: an untrusted result passes the enclave's
+        # validator before any trusted code consumes it.
+        ring = _make_ring(platform, direction="ocall", mode="sync")
 
         def reject(_value):
             raise SgxError("iago: implausible ocall result")
 
-        ticket = ring.submit(_value_of, (3,), validate=reject)
         with pytest.raises(SgxError, match="iago"):
-            ring.reap(ticket)
+            ring.call(_value_of, (3,), validate=reject)
+        assert ring.stats.completed == 1
 
     def test_typed_error_travels_completion_ring(self, platform):
         ring = _make_ring(platform)
@@ -470,24 +434,11 @@ class TestLifecycleAndHooks:
 
 
 # ---------------------------------------------------------------------------
-# Runtime integration: ocall_submit / ecall_submit plumbing
+# Runtime integration: ecall_submit plumbing
 # ---------------------------------------------------------------------------
 
 
 class RingWorkload(EnclaveProgram):
-    def setup(self, **kwargs):
-        self.ctx.enable_rings(**kwargs)
-
-    def do_submits(self, n: int):
-        log = self._log = []
-        return [self.ctx.ocall_submit(log.append, i) for i in range(n)]
-
-    def reap_everything(self):
-        return self.ctx.ocall_reap_all()
-
-    def log_len(self):
-        return len(self._log)
-
     def double(self, x: int):
         return x * 2
 
@@ -496,25 +447,6 @@ class TestRuntimeIntegration:
     @pytest.fixture()
     def author(self):
         return make_author_key(b"ring-author")
-
-    def test_ocall_submit_requires_enable(self, platform, author):
-        enclave = platform.load_enclave(RingWorkload(), author_key=author)
-        with pytest.raises(SgxError, match="enable_rings"):
-            enclave.ecall("do_submits", 1)
-
-    def test_ocall_submit_batch_zero_extra_crossings(self, platform, author):
-        enclave = platform.load_enclave(RingWorkload(), author_key=author)
-        enclave.ecall("setup")
-        before = platform.accountant.snapshot()
-        tickets = enclave.ecall("do_submits", 10)
-        assert tickets == list(range(10))
-        enclave.ecall("reap_everything")
-        assert enclave.ecall("log_len") == 10
-        delta = platform.accountant.delta(before)
-        # The three ecalls themselves are the only crossings: the ten
-        # async ocalls ride the rings with a live host worker.
-        assert delta[enclave.domain].enclave_crossings == 3
-        assert delta[enclave.domain].switchless_calls == 10
 
     def test_ecall_submit_requires_ring_attach(self, platform, author):
         enclave = platform.load_enclave(RingWorkload(), author_key=author)

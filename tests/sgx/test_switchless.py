@@ -10,6 +10,7 @@ import pytest
 
 from tests.fixtures import make_author_key
 
+from repro import faults
 from repro.cost import DEFAULT_MODEL
 from repro.crypto.drbg import Rng
 
@@ -40,6 +41,11 @@ class WorkloadProgram(EnclaveProgram):
     def bump(self, amount: int = 1):
         self._count = getattr(self, "_count", 0) + amount
         return self._count
+
+
+def _stalled():
+    """A plan whose worker misses every polling window it is asked about."""
+    return faults.active(faults.FaultPlan(0, [faults.FaultRule(faults.WORKER_STALL)]))
 
 
 @pytest.fixture()
@@ -142,9 +148,9 @@ class TestQueueMechanics:
         self, enclave, platform
     ):
         queue = enclave.ctx.switchless
-        queue.pause_worker()
         before = platform.accountant.snapshot()
-        assert queue.call(lambda: 41) == 41
+        with _stalled():
+            assert queue.call(lambda: 41) == 41
         delta = _domain_delta(platform, enclave, before)
         assert delta.enclave_crossings == 1
         assert delta.sgx_instructions == 2  # EEXIT + ERESUME
@@ -154,30 +160,22 @@ class TestQueueMechanics:
         self, platform, author
     ):
         enclave = platform.load_enclave(WorkloadProgram(), author_key=author)
-        enclave.ecall("setup", 3, 100)
+        enclave.ecall("setup", 8, 100)   # high interval: posts stay queued
         queue = enclave.ctx.switchless
-        queue.pause_worker()
         ran = []
-        before = platform.accountant.snapshot()
-        for i in range(7):  # overflows capacity 3 twice
+        for i in range(6):
             queue.post(ran.append, (i,))
-        queue.flush()
+        assert ran == []
+        before = platform.accountant.snapshot()
+        with _stalled():
+            queue.call(ran.append, (6,))
         assert ran == [0, 1, 2, 3, 4, 5, 6]
         delta = _domain_delta(platform, enclave, before)
-        # 7 posts over a 3-slot queue with no worker: crossings only
-        # when the slots run out (twice) plus the final flush — never
-        # one per call.
-        assert delta.enclave_crossings == 3
-        assert queue.stats.fallback_crossings == 3
-
-    def test_resume_worker_catches_up(self, enclave):
-        queue = enclave.ctx.switchless
-        queue.pause_worker()
-        ran = []
-        queue.post(ran.append, (1,))
-        assert ran == []
-        queue.resume_worker()
-        assert ran == [1]
+        # The stalled call's one crossing runs the six posted slots
+        # first, then the call itself — never one crossing per call.
+        assert delta.enclave_crossings == 1
+        assert queue.stats.fallback_crossings == 1
+        assert queue.depth == 0
 
 
 class TestQueueAccounting:
@@ -206,9 +204,9 @@ class TestQueueAccounting:
 
     def test_fallback_charges_crossing_costs(self, enclave, platform):
         queue = enclave.ctx.switchless
-        queue.pause_worker()
         before = platform.accountant.snapshot()
-        queue.call(lambda: None)
+        with _stalled():
+            queue.call(lambda: None)
         delta = platform.accountant.delta(before)
         expected = (
             DEFAULT_MODEL.trampoline_normal

@@ -36,7 +36,8 @@ dispatch-replay cohorts so million-client populations finish in
 minutes with the *byte-identical* report executing every dispatch
 would have written.  ``--regions R`` deploys the
 routing shards as a two-level tree (region heads relay for members)
-over the ``--ases``-sized generated Internet topology.
+over the ``--ases``-sized generated Internet topology; the default is
+one region, where every shard pair holds a direct session.
 
 ``trace`` runs one scenario with the span tracer attached, asserts the
 trace reconciles exactly against the cost accountants, and writes the
@@ -138,7 +139,7 @@ _FLAGS = {
                 "replay repeat dispatches from the cohort memo "
                 "(byte-identical report)"),
     "regions": (("load",), {"type": int}, "deploy the routing shards as a "
-                "two-level tree with R regions (default: flat)"),
+                "two-level tree with R regions (default: one region)"),
     "smoke": (("epcstress",), {"action": "store_true", "default": None},
               "small problem sizes suitable for CI"),
     "frames": (("epcstress",), {"type": int},

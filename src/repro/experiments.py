@@ -929,11 +929,11 @@ def run_load_cohort_ablation(
 ) -> Dict[Tuple[int, Optional[int], str], Dict[str, object]]:
     """Cohort-vs-per-client tier grid (EXPERIMENTS A16).
 
-    For every client count x shard-tree depth (flat, or a two-level
-    tree with R regions) the grid holds both tiers' BENCH documents
-    plus their wall-clock cost, and each cohort cell records whether
-    its document equals the per-client twin's — the modeled numbers
-    are deterministic, only ``wall_seconds`` varies run to run.
+    For every client count x shard-tree depth (the default one region,
+    printed ``flat``, or R regions) the grid holds both tiers' BENCH
+    documents plus their wall-clock cost, and each cohort cell records
+    whether its document equals the per-client twin's — the modeled
+    numbers are deterministic, only ``wall_seconds`` varies run to run.
     """
     import time as _time
 

@@ -39,10 +39,11 @@ is not memoized is counted by reason: ``load_cohort_bypass_faults``,
 ``load_cohort_bypass_lost`` or ``load_cohort_uncacheable`` (a
 non-``ok`` outcome or a base's traffic changing).
 
-Only the flat routing backend is memoized: the middlebox backend seeds
-each flow by dispatch index, Tor couples to the global simulation
-clock, and the two-level tree's relay charges depend on head liveness
-— those stream through the same engine unmemoized.
+Only the default (``regions=None``) routing backend is memoized: the
+middlebox backend seeds each flow by dispatch index, Tor couples to
+the global simulation clock, and a multi-region tree's relay charges
+depend on head liveness — those, and any run given ``regions``,
+stream through the same engine unmemoized.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _blocks(positions, traffic) -> tuple:
 
 
 class _CohortCache:
-    """Dispatch-replay cache wrapped around a flat routing backend."""
+    """Dispatch-replay cache wrapped around a one-region routing backend."""
 
     def __init__(self, backend) -> None:
         self._backend = backend
@@ -260,7 +261,7 @@ def run_load_cohorts(
     """:func:`~repro.load.engine.run_load_engine` through the cohort memo.
 
     The arrivals stream through the engine without materializing the
-    log, and the flat routing backend's repeat dispatches replay from
+    log, and the default routing backend's repeat dispatches replay from
     :class:`_CohortCache`; the report is byte-identical to the
     per-client run's.
     """

@@ -70,7 +70,7 @@ class LoadResult:
     #: sorted ``(latency, count)`` multiset of event latencies
     latency_samples: List[Tuple[float, int]]
     payloads: Optional[Dict[int, bytes]] = None  # seq -> reply (tests only)
-    regions: Optional[int] = None  # two-level tree depth (None = flat)
+    regions: Optional[int] = None  # two-level tree depth (None = one region)
 
     @property
     def served(self) -> int:

@@ -29,7 +29,7 @@ from repro.core.world import World
 from repro.routing import messages as msg
 from repro.routing.deployment import build_policies
 from repro.routing.policy import LocalPolicy
-from repro.routing.sharding import ShardCore, ShardRing, ShardTree
+from repro.routing.sharding import ShardCore, ShardTree
 from repro.sgx.attestation import IdentityPolicy
 from repro.sgx.measurement import measure_program
 from repro.sgx.platform import SgxPlatform
@@ -387,15 +387,15 @@ class ShardedRoutingDeployment:
     ``register_all`` + ``seal`` run the policy phase; ``serve_batch``
     is the steady-state request path the load engine drives.
 
-    ``regions=None`` (the default) is the flat deployment: every shard
-    pair holds a direct session and AS ownership follows the flat
-    :class:`~repro.routing.sharding.ShardRing`.  ``regions=R`` deploys
-    the two-level tree instead: shard ``s`` lives in region ``s % R``,
-    sessions exist only within a region plus between region *heads*
-    (the lowest live shard id per region), ownership follows
+    The shards form a two-level tree of ``regions`` regions (default:
+    one): shard ``s`` lives in region ``s % R``, sessions exist only
+    within a region plus between region *heads* (the lowest live shard
+    id per region), ownership follows
     :class:`~repro.routing.sharding.ShardTree`, and cross-region
     traffic rides :data:`SMSG_FWD` relays through the heads — session
-    count drops from O(S^2) to O(S^2/R + R^2).
+    count drops from O(S^2) to O(S^2/R + R^2).  One region is the
+    all-pairs deployment: every shard pair holds a direct session,
+    nothing relays, and no forwarding table is pushed.
     """
 
     def __init__(
@@ -413,21 +413,24 @@ class ShardedRoutingDeployment:
         self.n_shards = n_shards
         self.batch = max(1, batch)
         self.topology, self.policies = build_policies(n_ases, seed)
-        self.hierarchical = regions is not None
-        if self.hierarchical:
-            n_regions = min(regions, n_shards)
-            self.region_of_shard = {
-                shard: shard % n_regions for shard in range(n_shards)
-            }
-            members: Dict[int, List[int]] = {}
-            for shard in range(n_shards):
-                members.setdefault(shard % n_regions, []).append(shard)
-            self.ring: object = ShardTree(members)
-        else:
-            self.region_of_shard = {shard: 0 for shard in range(n_shards)}
-            self.ring = ShardRing(list(range(n_shards)))
+        n_regions = 1 if regions is None else min(regions, n_shards)
+        #: Only a multi-region tree has pairs without a session, so only
+        #: it pushes relay tables.
+        self._relays = n_regions > 1
+        self.region_of_shard = {
+            shard: shard % n_regions for shard in range(n_shards)
+        }
+        members: Dict[int, List[int]] = {}
+        for shard in range(n_shards):
+            members.setdefault(shard % n_regions, []).append(shard)
+        self.ring = ShardTree(members)
         self.dead: set = set()
         self._sealed = False
+        #: live shard id -> (next-hop session per live dest, sorted
+        #: direct peers), and the owner map; rebuilt by
+        #: :meth:`_push_routes`, read-only in between.
+        self._routes: Dict[int, Tuple[Dict[int, str], List[int]]] = {}
+        self._owners: Dict[int, int] = {}
 
         world = World(seed)
         peer_policy = IdentityPolicy.for_mrenclave(
@@ -456,28 +459,21 @@ class ShardedRoutingDeployment:
 
         #: session id shared by a shard pair, symmetric lookup.
         self.sessions: Dict[Tuple[int, int], str] = {}
-        if self.hierarchical:
-            pairs = set()
-            by_region: Dict[int, List[int]] = {}
-            for shard in range(n_shards):
-                by_region.setdefault(self.region_of_shard[shard], []).append(
-                    shard
-                )
-            for group in by_region.values():
-                for i, a in enumerate(group):
-                    for b in group[i + 1 :]:
-                        pairs.add((a, b))
-            heads = sorted(min(group) for group in by_region.values())
-            for i, a in enumerate(heads):
-                for b in heads[i + 1 :]:
-                    pairs.add((a, b))
-            for a, b in sorted(pairs):
-                self._establish(a, b)
-            self._push_routes()
-        else:
-            for i in range(n_shards):
-                for j in range(i + 1, n_shards):
-                    self._establish(i, j)
+        # Pairs within each region plus pairs between region heads; at
+        # one region this is every (i, j), established in order.
+        pairs = {
+            (a, b)
+            for group in members.values()
+            for i, a in enumerate(group)
+            for b in group[i + 1 :]
+        }
+        heads = sorted(group[0] for group in members.values())
+        pairs.update(
+            (a, b) for i, a in enumerate(heads) for b in heads[i + 1 :]
+        )
+        for a, b in sorted(pairs):
+            self._establish(a, b)
+        self._push_routes()
 
     # -- session plumbing ----------------------------------------------------
 
@@ -548,25 +544,23 @@ class ShardedRoutingDeployment:
         return routes
 
     def _push_routes(self) -> None:
-        if not self.hierarchical or self.n_live <= 1:
+        """Rebuild the owner map and every live shard's routing table
+        after a membership change, and push the tables to the enclaves
+        when anything relays."""
+        self._owners = self.owner_map()
+        self._routes = {
+            shard_id: (
+                self._route_map(shard_id),
+                sorted(self._session_map(shard_id)),
+            )
+            for shard_id in self._live_ids()
+        }
+        if not self._relays or self.n_live <= 1:
             return
         for shard_id in self._live_ids():
             self.enclaves[shard_id].ecall(
-                "configure_forwarding", self._route_map(shard_id)
+                "configure_forwarding", self._routes[shard_id][0]
             )
-
-    def _sessions_for(
-        self, shard_id: int
-    ) -> Tuple[Dict[int, str], Optional[List[int]]]:
-        """(session_by_shard, direct peer list) for ecall plumbing.
-
-        Flat deployments return the plain session map and ``None`` —
-        the program-side ``direct`` default keeps their byte costs
-        untouched.
-        """
-        if not self.hierarchical:
-            return self._session_map(shard_id), None
-        return self._route_map(shard_id), sorted(self._session_map(shard_id))
 
     def _peer_of(self, shard_id: int, session_id: str) -> int:
         for (a, b), sid in self.sessions.items():
@@ -635,45 +629,27 @@ class ShardedRoutingDeployment:
         """Policy broadcast, partition compute, route-slice exchange."""
         if self._sealed:
             return
-        owner_map = self.owner_map()
+        owner_map = self._owners
         if self.n_live > 1:
             for shard_id in self._live_ids():
-                sids = sorted(set(self._session_map(shard_id).values()))
-                if self.hierarchical:
-                    session_by_shard, direct = self._sessions_for(shard_id)
-                    fwd = {
-                        dest: sid
-                        for dest, sid in session_by_shard.items()
-                        if dest not in set(direct or [])
-                    }
-                    self.enclaves[shard_id].ecall(
-                        "broadcast_policies", sids, self.batch, fwd
-                    )
-                else:
-                    self.enclaves[shard_id].ecall(
-                        "broadcast_policies", sids, self.batch
-                    )
+                routes, direct = self._routes[shard_id]
+                sids = sorted({routes[peer] for peer in direct})
+                fwd = {
+                    dest: sid
+                    for dest, sid in routes.items()
+                    if dest not in direct
+                }
+                self.enclaves[shard_id].ecall(
+                    "broadcast_policies", sids, self.batch, fwd
+                )
             self.pump()
         for shard_id in self._live_ids():
             self.enclaves[shard_id].ecall("compute_partition")
         for shard_id in self._live_ids():
-            if self.hierarchical:
-                session_by_shard, direct = self._sessions_for(shard_id)
-                self.enclaves[shard_id].ecall(
-                    "send_slices",
-                    owner_map,
-                    session_by_shard,
-                    self.batch,
-                    None,
-                    direct,
-                )
-            else:
-                self.enclaves[shard_id].ecall(
-                    "send_slices",
-                    owner_map,
-                    self._session_map(shard_id),
-                    self.batch,
-                )
+            routes, direct = self._routes[shard_id]
+            self.enclaves[shard_id].ecall(
+                "send_slices", owner_map, routes, self.batch, None, direct
+            )
         self.pump()
         self._sealed = True
 
@@ -695,14 +671,13 @@ class ShardedRoutingDeployment:
         """
         if front_shard in self.dead:
             raise ShardError(f"front shard {front_shard} is dead")
-        owner_map = self.owner_map()
+        owner_map = self._owners
         for _req_id, asn, _op in requests:
             owner = owner_map.get(asn)
             if owner is None or owner in self.dead:
                 raise ShardError(f"owner shard for AS{asn} is dead")
 
         front = self.enclaves[front_shard]
-        session_map = self._session_map(front_shard)
         served: Dict[int, bytes] = {}
         route_reqs = [
             (req_id, asn) for req_id, asn, op in requests if op == "route_request"
@@ -712,28 +687,17 @@ class ShardedRoutingDeployment:
         ]
 
         if route_reqs:
-            if self.hierarchical:
-                session_by_shard, direct = self._sessions_for(front_shard)
-                served.update(
-                    front.ecall(
-                        "front_requests",
-                        route_reqs,
-                        owner_map,
-                        session_by_shard,
-                        self.batch,
-                        direct,
-                    )
+            routes, direct = self._routes[front_shard]
+            served.update(
+                front.ecall(
+                    "front_requests",
+                    route_reqs,
+                    owner_map,
+                    routes,
+                    self.batch,
+                    direct,
                 )
-            else:
-                served.update(
-                    front.ecall(
-                        "front_requests",
-                        route_reqs,
-                        owner_map,
-                        session_map,
-                        self.batch,
-                    )
-                )
+            )
 
         # Re-registrations hit the owner shard directly (the client
         # re-attests to the shard that owns its AS — fronting the
@@ -795,25 +759,22 @@ class ShardedRoutingDeployment:
         if self.n_live == 0:
             raise ShardError("last controller shard crashed; no survivors")
         self.ring.remove_shard(shard_id)
-        if self.hierarchical:
-            region = self.region_of_shard[shard_id]
-            survivors = [
-                s
-                for s in self._live_ids()
-                if self.region_of_shard[s] == region
-            ]
-            if survivors and shard_id < min(survivors):
-                # The head died: its successor (new lowest live id)
-                # must hold sessions to every other region head before
-                # routes can be re-pushed.
-                new_head = min(survivors)
-                for other in self._heads():
-                    if other == new_head:
-                        continue
-                    pair = (min(new_head, other), max(new_head, other))
-                    if pair not in self.sessions:
-                        self._establish(*pair)
-            self._push_routes()
+        region = self.region_of_shard[shard_id]
+        survivors = [
+            s for s in self._live_ids() if self.region_of_shard[s] == region
+        ]
+        if survivors and shard_id < min(survivors):
+            # The head died: its successor (new lowest live id) must
+            # hold sessions to every other region head before routes
+            # can be re-pushed.
+            new_head = min(survivors)
+            for other in self._heads():
+                if other == new_head:
+                    continue
+                pair = (min(new_head, other), max(new_head, other))
+                if pair not in self.sessions:
+                    self._establish(*pair)
+        self._push_routes()
         if not self._sealed:
             return rehomed
         return self._recover(rehomed)
@@ -827,7 +788,7 @@ class ShardedRoutingDeployment:
         re-homed ASes.  Afterwards every request is serveable again —
         the fault tests pin that nothing is silently lost.
         """
-        owner_map = self.owner_map()
+        owner_map = self._owners
         by_owner: Dict[int, List[int]] = {}
         for asn in rehomed:
             by_owner.setdefault(owner_map[asn], []).append(asn)
@@ -839,27 +800,14 @@ class ShardedRoutingDeployment:
             ]
             enclave.ecall_batch(calls)
             enclave.ecall("compute_extra", sorted(asns))
+        only = sorted(rehomed)
         for shard_id in self._live_ids():
-            if self.hierarchical:
-                session_by_shard, direct = self._sessions_for(shard_id)
-                self.enclaves[shard_id].ecall(
-                    "send_slices",
-                    owner_map,
-                    session_by_shard,
-                    self.batch,
-                    sorted(rehomed),
-                    direct,
-                )
-            else:
-                self.enclaves[shard_id].ecall(
-                    "send_slices",
-                    owner_map,
-                    self._session_map(shard_id),
-                    self.batch,
-                    sorted(rehomed),
-                )
+            routes, direct = self._routes[shard_id]
+            self.enclaves[shard_id].ecall(
+                "send_slices", owner_map, routes, self.batch, only, direct
+            )
         self.pump()
-        return sorted(rehomed)
+        return only
 
     # -- reporting helpers ---------------------------------------------------
 

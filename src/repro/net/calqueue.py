@@ -5,72 +5,46 @@ tuple comparison (time, then sequence number) per sift step.  Discrete-
 event workloads in this repo are heavily co-scheduled — bursts of
 events share a timestamp (zero-delay wakeups, batched deliveries) — so
 the hybrid stores one heap entry per *unique* timestamp and an
-insertion-ordered bucket (plain list) of entries per timestamp:
+insertion-ordered bucket of entries per timestamp:
 
-* ``push`` on an already-known timestamp is a dict hit plus a list
+* :meth:`push` on an already-known timestamp is a dict hit plus a list
   append — no heap traffic at all;
-* advancing time pops ONE heap entry and hands the whole bucket to the
-  caller (:meth:`pop_bucket`), amortizing the ``O(log n)`` across every
-  event in the burst;
+* advancing time (:meth:`advance_onto`) pops ONE heap entry and hands
+  the whole bucket to the kernel's FIFO lane, amortizing the
+  ``O(log n)`` across every event in the burst;
 * within a timestamp, insertion order *is* the (time, seq) order of
   the reference scheduler, because pushes happen in global sequence
   order and appends preserve it.  No per-entry sequence number is
   stored or compared — the structure never reorders a bucket.
 
-Two client APIs share the structure:
-
-* the simulator kernel uses the raw path — :meth:`push` /
-  :meth:`min_time` / :meth:`pop_bucket` with opaque entries and no
-  cancellation (stale timeouts are token-checked by the kernel, never
-  cancelled);
-* :meth:`schedule` / :meth:`cancel` / :meth:`pop` wrap entries in
-  handles supporting lazy cancellation, for callers (and the property
-  suite) that need a general priority queue.  Do not mix raw ``push``
-  with handle-based ``pop`` on the same instance.
+Nothing is ever cancelled: stale timeouts are token-checked by the
+kernel when they fire.  The kernel tests emptiness on ``_times``
+directly (see :meth:`repro.net.sim.Simulator.run`).
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
-__all__ = ["CalendarQueue", "Handle"]
+__all__ = ["CalendarQueue"]
 
 _EMPTY = object()  # dict.get sentinel (None is a legal entry)
-
-
-class Handle:
-    """One cancellable scheduled entry (see :meth:`CalendarQueue.schedule`)."""
-
-    __slots__ = ("time", "value", "cancelled")
-
-    def __init__(self, time: float, value: Any) -> None:
-        self.time = time
-        self.value = value
-        self.cancelled = False
-
-    def __repr__(self) -> str:  # pragma: no cover — debugging aid
-        flag = " cancelled" if self.cancelled else ""
-        return f"<Handle t={self.time!r} value={self.value!r}{flag}>"
 
 
 class CalendarQueue:
     """Time-bucketed priority queue with FIFO same-timestamp order."""
 
-    __slots__ = ("_times", "_buckets", "_live")
+    __slots__ = ("_times", "_buckets")
 
     def __init__(self) -> None:
         #: Heap of unique timestamps; invariant: ``t in self._buckets``
         #: and ``self._buckets[t]`` non-empty for every heaped ``t``.
         self._times: List[float] = []
         self._buckets: dict = {}
-        self._live = 0
-
-    # -- raw kernel path -----------------------------------------------------
 
     def push(self, time: float, entry: Any) -> None:
-        """Append ``entry`` to the bucket at ``time`` (no handle).
+        """Append ``entry`` to the bucket at ``time``.
 
         Most timestamps hold exactly one entry, so a bucket starts out
         as the entry itself and is only promoted to a list on the first
@@ -86,96 +60,18 @@ class CalendarQueue:
             current.append(entry)
         else:
             buckets[time] = [current, entry]
-        self._live += 1
-
-    def min_time(self) -> Optional[float]:
-        """The earliest scheduled timestamp, or ``None`` when empty."""
-        return self._times[0] if self._times else None
-
-    def pop_bucket(self) -> Tuple[float, Any]:
-        """Remove and return ``(time, bucket)`` for the earliest time.
-
-        ``bucket`` is either a single entry or a list of entries in
-        insertion order (see :meth:`push`); the queue forgets it
-        entirely (the kernel drains it as its FIFO lane).  Raises
-        ``IndexError`` when empty, like ``heappop``.
-        """
-        time = _heappop(self._times)
-        bucket = self._buckets.pop(time)
-        self._live -= len(bucket) if type(bucket) is list else 1
-        return time, bucket
 
     def advance_onto(self, fifo: Any) -> float:
         """Pop the earliest bucket straight into ``fifo``; return its time.
 
-        Fused :meth:`pop_bucket` + drain for the kernel's advance step —
-        one call, no intermediate tuple.  Raises ``IndexError`` when
-        empty.
+        The queue forgets the bucket entirely (the kernel drains it as
+        its FIFO lane).  Raises ``IndexError`` when empty, like
+        ``heappop``.
         """
         time = _heappop(self._times)
         bucket = self._buckets.pop(time)
         if type(bucket) is list:
-            self._live -= len(bucket)
             fifo.extend(bucket)
         else:
-            self._live -= 1
             fifo.append(bucket)
         return time
-
-    # -- handle path (cancellation support) ----------------------------------
-
-    def schedule(self, time: float, value: Any) -> Handle:
-        """Insert ``value`` at ``time``; returns a cancellable handle."""
-        handle = Handle(time, value)
-        self.push(time, handle)
-        return handle
-
-    def cancel(self, handle: Handle) -> bool:
-        """Lazily cancel a handle; returns False if already popped/cancelled.
-
-        The entry stays in its bucket (removal would be O(bucket)) and
-        is skipped by :meth:`pop` — same-timestamp FIFO order of the
-        survivors is unaffected.
-        """
-        if handle.cancelled:
-            return False
-        handle.cancelled = True
-        self._live -= 1
-        return True
-
-    def pop(self) -> Tuple[float, Any]:
-        """Remove and return the earliest live ``(time, value)`` entry.
-
-        Skips cancelled entries (discarding them for good); raises
-        ``IndexError`` when no live entry remains.
-        """
-        while self._times:
-            time = self._times[0]
-            bucket = self._buckets[time]
-            if type(bucket) is not list:
-                bucket = [bucket]
-            while bucket:
-                handle = bucket.pop(0)
-                if not handle.cancelled:
-                    # Mark consumed so a late cancel() is refused
-                    # instead of double-decrementing the live count.
-                    handle.cancelled = True
-                    if bucket:
-                        self._buckets[time] = bucket
-                    else:
-                        heapq.heappop(self._times)
-                        del self._buckets[time]
-                    self._live -= 1
-                    return time, handle.value
-            heapq.heappop(self._times)
-            del self._buckets[time]
-        raise IndexError("pop from empty CalendarQueue")
-
-    # -- introspection -------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Live (non-cancelled, non-popped) entry count."""
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0

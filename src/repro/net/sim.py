@@ -141,7 +141,6 @@ class Process:
                     current.append(entry)
                 else:
                     cal._buckets[time] = [current, entry]
-                cal._live += 1
         elif cls is _GetCmd:
             cmd.queue._register(self, cmd.timeout)
         elif cmd is None:
@@ -299,8 +298,8 @@ class Simulator:
         # only ever mutated in place, so hoisting them is safe; the
         # advance step below is an inlined CalendarQueue.advance_onto
         # (the method is the reference for these lines).  ``_times``
-        # truthiness stands in for ``bool(cal)`` — the raw path never
-        # cancels, so a heaped timestamp always has pending entries.
+        # truthiness is the emptiness test: nothing is ever cancelled,
+        # so a heaped timestamp always has pending entries.
         times = cal._times
         buckets = cal._buckets
         if until is None:
@@ -320,12 +319,10 @@ class Simulator:
                 bucket = buckets.pop(time)
                 self.now = time
                 if type(bucket) is list:
-                    cal._live -= len(bucket)
                     fifo.extend(bucket)
                 else:
                     # Sole event at this time and the FIFO is drained:
                     # run it directly, skipping the deque round-trip.
-                    cal._live -= 1
                     fn, args = bucket
                     fn(*args)
                     if orphans:

@@ -61,12 +61,14 @@ def _ring_hash(label: str) -> int:
 class ShardRing:
     """Deterministic consistent-hash ring mapping ASN -> shard id."""
 
-    def __init__(self, shard_ids: List[int], vnodes: int = VNODES) -> None:
+    def __init__(self, shard_ids: List[int], label: str = "shard") -> None:
         if not shard_ids:
             raise ShardError("a ring needs at least one shard")
         if len(set(shard_ids)) != len(shard_ids):
             raise ShardError("duplicate shard ids on the ring")
-        self.vnodes = vnodes
+        #: vnode label family: ``{label}{id}#v{v}`` (the tree's region
+        #: ring hashes regions under ``"region"``).
+        self._label = label
         self._points: List[tuple] = []
         self._shards: Set[int] = set()
         #: asn -> owner memo; pure cache over the (membership-keyed)
@@ -83,8 +85,10 @@ class ShardRing:
         if shard_id in self._shards:
             raise ShardError(f"shard {shard_id} already on the ring")
         self._shards.add(shard_id)
-        for v in range(self.vnodes):
-            self._points.append((_ring_hash(f"shard{shard_id}#v{v}"), shard_id))
+        for v in range(VNODES):
+            self._points.append(
+                (_ring_hash(f"{self._label}{shard_id}#v{v}"), shard_id)
+            )
         self._points.sort()
         self._owner_cache.clear()
 
@@ -141,23 +145,17 @@ class ShardTree:
     regions, exactly like a shard leaving a flat ring.
     """
 
-    def __init__(self, regions: Dict[int, List[int]], vnodes: int = VNODES) -> None:
+    def __init__(self, regions: Dict[int, List[int]]) -> None:
         if not regions:
             raise ShardError("a shard tree needs at least one region")
         all_shards = [s for members in regions.values() for s in members]
         if len(set(all_shards)) != len(all_shards):
             raise ShardError("a shard may belong to only one region")
-        self.vnodes = vnodes
-        self._region_ring = ShardRing(sorted(regions), vnodes=vnodes)
         # Region ids hash under their own label family so region
         # placement is independent of any shard id collision.
-        self._region_ring._points = sorted(
-            (_ring_hash(f"region{region_id}#v{v}"), region_id)
-            for region_id in regions
-            for v in range(vnodes)
-        )
+        self._region_ring = ShardRing(sorted(regions), label="region")
         self._rings: Dict[int, ShardRing] = {
-            region_id: ShardRing(sorted(members), vnodes=vnodes)
+            region_id: ShardRing(sorted(members))
             for region_id, members in regions.items()
         }
 
@@ -208,11 +206,7 @@ class ShardTree:
             if len(self._rings) == 1:
                 raise ShardError("cannot remove the last shard")
             del self._rings[region_id]
-            self._region_ring._shards.discard(region_id)
-            self._region_ring._points = [
-                p for p in self._region_ring._points if p[1] != region_id
-            ]
-            self._region_ring._owner_cache.clear()
+            self._region_ring.remove_shard(region_id)
             return
         ring.remove_shard(shard_id)
 

@@ -152,6 +152,7 @@ class Enclave:
             direction="ecall",
             capacity=capacity,
             harvest_depth=poll_interval,
+            worker=True,
             mode="sync",
         )
         return self._switchless_ecalls
@@ -183,7 +184,7 @@ class Enclave:
         self,
         capacity: int = 64,
         harvest_depth: int = 8,
-        worker: Any = None,
+        worker: bool = False,
     ) -> Any:
         """Attach paired submission/completion ecall rings.
 

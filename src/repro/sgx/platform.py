@@ -212,7 +212,7 @@ class SgxPlatform:
         direction: str = "ocall",
         capacity: int = 64,
         harvest_depth: int = 8,
-        worker=None,
+        worker: bool = False,
         mode: str = "async",
     ):
         """Set up paired submission/completion rings for ``enclave``.
@@ -226,6 +226,8 @@ class SgxPlatform:
         ring spins :attr:`~repro.sgx.rings.RingPair.SPIN_BUDGET` worker
         iterations before sleeping and takes the fallback crossing when
         full; a sync ring never sleeps and drains through its worker.
+        A sync ring needs ``worker=True``; an async one runs a polling
+        worker only when given it.
         """
         from repro.sgx.rings import RingPair
 

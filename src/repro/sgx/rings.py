@@ -32,17 +32,19 @@ One class serves both directions:
 
 * ``direction="ocall"`` — the enclave is the caller and the worker is
   an untrusted host thread (``ocall``, ``send_packets`` and
-  ``recv_packets`` with ``switchless=True``).  A worker defaults to
-  *running*: the host has spare cores.
+  ``recv_packets`` with ``switchless=True``).
 * ``direction="ecall"`` — untrusted code is the caller and the worker
   runs inside the enclave (``Enclave.ecall_submit`` / ``ecall_reap``;
-  ``Enclave.ecall_switchless``).  An async worker defaults to *not
-  running*: a dedicated in-enclave polling thread would burn a TCS and
-  a core, so instead the harvest itself pays one genuine crossing that
-  drains every posted submission — crossings per call fall as 1/depth,
-  which is exactly the grid ablation A14 measures on the middlebox
-  record path.  A relay that dedicates a cell-service thread passes
-  ``worker=True``.
+  ``Enclave.ecall_switchless``).
+
+A sync ring always runs its worker — its caller spins on the slot —
+so building one with ``worker=False`` raises :class:`SgxError`.  An
+async ring runs none unless built with ``worker=True``: a dedicated
+polling thread would burn a TCS and a core, so instead the harvest
+itself pays one genuine crossing that drains every posted submission —
+crossings per call fall as 1/depth, which is exactly the grid ablation
+A14 measures on the middlebox record path.  A relay that dedicates a
+cell-service thread passes ``worker=True``.
 
 A live async worker polls adaptively: it spins a modeled budget
 (:attr:`RingPair.SPIN_BUDGET` iterations, ``ring_spin_normal`` each)
@@ -133,7 +135,7 @@ class RingPair:
         enclave_domain: str,
         capacity: int = 64,
         harvest_depth: int = 8,
-        worker: Optional[bool] = None,
+        worker: bool = False,
         name: str = "",
         mode: str = "async",
     ) -> None:
@@ -145,6 +147,8 @@ class RingPair:
             raise SgxError("ring needs at least one slot")
         if harvest_depth <= 0:
             raise SgxError("ring harvest depth must be positive")
+        if mode == "sync" and not worker:
+            raise SgxError("a sync ring always runs its worker")
         self._platform = platform
         self.direction = direction
         self.enclave_domain = enclave_domain
@@ -159,11 +163,6 @@ class RingPair:
         self.harvest_depth = harvest_depth
         self._spin_budget = 0 if self.synchronous else self.SPIN_BUDGET
         self.name = name or f"rings-{direction}"
-        # An in-enclave polling worker would burn a TCS + core, so an
-        # async ecall ring defaults to the worker-less exitless regime
-        # (harvest = one crossing draining the whole ring).
-        if worker is None:
-            worker = self.synchronous or direction == "ocall"
         self._worker_running = worker
         self._worker_asleep = False
         self._spin_credit = self._spin_budget
@@ -265,12 +264,12 @@ class RingPair:
         """One synchronous switchless call: enqueue, harvest, read.
 
         The caller needs the result, so it busy-waits on the response
-        word while the worker services the slot — zero crossings.  With
-        no worker running (or an injected ``worker_stall``) the call
-        degrades to one genuine crossing, which also drains any
-        backlog.  ``validate`` runs on the caller's side of the
-        boundary before the result is returned — for the ocall
-        direction that is the enclave's Iago check on untrusted output.
+        word while the worker services the slot — zero crossings.  An
+        injected ``worker_stall`` degrades the call to one genuine
+        crossing, which also drains any backlog.  ``validate`` runs on
+        the caller's side of the boundary before the result is
+        returned — for the ocall direction that is the enclave's Iago
+        check on untrusted output.
         """
         entry = _Entry(func, args, kwargs or {})
         with self._context():
@@ -278,7 +277,7 @@ class RingPair:
             stalled = plan is not None and plan.decide(
                 faults.WORKER_STALL, f"switchless:{self.direction}:{self.name}"
             )
-            if stalled or not self._worker_running:
+            if stalled:
                 self._fallback_harvest(entry)
             else:
                 self._enqueue(entry)
@@ -298,9 +297,9 @@ class RingPair:
         The caller does not wait and never reaps: the slot is drained on
         the worker's next poll pass (every ``harvest_depth``
         submissions), by a later :meth:`call`, or by :meth:`flush`.
-        When every slot is occupied and no worker is running, one
-        genuine crossing drains the entire backlog — N posts cost at
-        most one crossing.
+        When every slot is occupied, a sync ring drains through its
+        worker and an async ring takes one genuine crossing that drains
+        the entire backlog.
         """
         self._post(_Entry(func, args, kwargs or {}))
 
@@ -380,7 +379,7 @@ class RingPair:
             backlog=len(self._submission),
             mode="block" if self.synchronous else "fallback",
         )
-        if self.synchronous and self._worker_running:
+        if self.synchronous:
             self._harvest()
         else:
             self._fallback_harvest()

@@ -162,6 +162,7 @@ class EnclaveContext:
             self._enclave,
             capacity=capacity,
             harvest_depth=poll_interval,
+            worker=True,
             mode="sync",
         )
         return self._switchless

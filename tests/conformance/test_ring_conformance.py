@@ -77,7 +77,7 @@ def _payload(log, value):
 def _run_sync(program):
     """The sync mode: every call completes synchronously, inline."""
     platform = SgxPlatform("conf-sync", rng=Rng(b"conf-sync"))
-    queue = RingPair(platform, "ocall", ENCLAVE_DOMAIN, mode="sync")
+    queue = RingPair(platform, "ocall", ENCLAVE_DOMAIN, mode="sync", worker=True)
     log = []
     results = {}
     ticket = 0
@@ -101,6 +101,7 @@ def _run_rings(program, geometry, tracer=None):
             ENCLAVE_DOMAIN,
             capacity=geometry["capacity"],
             harvest_depth=geometry["harvest_depth"],
+            worker=True,
         )
         log = []
         results = {}

@@ -1,16 +1,14 @@
 """Property suite for the calendar-queue/heap hybrid.
 
-The model is the dumbest correct priority queue there is: a list of
-``(time, seq, value)`` triples popped by ``min`` over ``(time, seq)``.
-Hypothesis drives arbitrary interleavings of schedule / cancel / pop
-against :class:`repro.net.calqueue.CalendarQueue` and the model must
-never disagree — in particular on FIFO order within a shared
-timestamp, which is the invariant the fast simulator kernel's
+Hypothesis pushes arbitrary timestamps through
+:class:`repro.net.calqueue.CalendarQueue` and drains it the way the
+kernel does (:meth:`~repro.net.calqueue.CalendarQueue.advance_onto`).
+Entries must come out in time order and, within a shared timestamp,
+in insertion (FIFO) order — the invariant the fast simulator kernel's
 correctness rests on (see DESIGN.md).
 
-The deterministic tests at the bottom pin the raw kernel path
-(``push`` / ``min_time`` / ``pop_bucket`` / ``advance_onto``) and the
-same-timestamp timeout-vs-delivery tie-break in
+The deterministic tests at the bottom pin ``advance_onto`` on a fixed
+shape and the same-timestamp timeout-vs-delivery tie-break in
 :class:`~repro.net.sim.MessageQueue` that PR 2 fixed, on both kernels.
 """
 
@@ -26,118 +24,33 @@ from repro.errors import SimTimeout
 from tests.oracles import sim_reference
 
 # A tiny timestamp pool forces heavy same-timestamp collisions; the
-# integers avoid float-comparison noise in the model.
+# integers avoid float-comparison noise.
 _times = st.sampled_from([0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 2.0, 7.5])
-
-# One program = a sequence of operations:
-#   ("schedule", time)  — insert the next value at ``time``
-#   ("cancel", k)       — cancel the k-th handle issued so far (mod len)
-#   ("pop",)            — pop the earliest live entry
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("schedule"), _times),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("pop")),
-    ),
-    max_size=120,
-)
-
-
-class _ModelQueue:
-    """Sorted-list reference: pop-min over (time, insertion seq)."""
-
-    def __init__(self):
-        self.entries = []  # live (time, seq, value)
-        self.seq = 0
-
-    def schedule(self, time, value):
-        key = (time, self.seq, value)
-        self.seq += 1
-        self.entries.append(key)
-        return key
-
-    def cancel(self, key):
-        if key in self.entries:
-            self.entries.remove(key)
-            return True
-        return False
-
-    def pop(self):
-        best = min(self.entries)  # (time, seq) lexicographic
-        self.entries.remove(best)
-        return best[0], best[2]
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=_ops)
-def test_property_matches_sorted_list_model(ops):
-    real = CalendarQueue()
-    model = _ModelQueue()
-    handles = []  # (real handle, model key), including consumed ones
-    counter = 0
-    for op in ops:
-        if op[0] == "schedule":
-            value = counter
-            counter += 1
-            handles.append(
-                (real.schedule(op[1], value), model.schedule(op[1], value))
-            )
-        elif op[0] == "cancel":
-            if not handles:
-                continue
-            handle, key = handles[op[1] % len(handles)]
-            # Cancelling an already-popped or already-cancelled handle
-            # must be a refused no-op in both.
-            assert real.cancel(handle) == model.cancel(key)
-        else:
-            if len(model):
-                assert real.pop() == model.pop()
-            else:
-                with pytest.raises(IndexError):
-                    real.pop()
-        assert len(real) == len(model)
-        assert bool(real) == bool(model)
-    # Drain: the survivors must come out in exact model order.
-    while len(model):
-        assert real.pop() == model.pop()
-    with pytest.raises(IndexError):
-        real.pop()
 
 
 @settings(max_examples=100, deadline=None)
 @given(times=st.lists(_times, max_size=60))
 def test_property_raw_path_drains_in_time_then_fifo_order(times):
-    """push/pop_bucket (no cancellation) yields (time, seq) order."""
+    """push/advance_onto yields time order, then FIFO within a time."""
     q = CalendarQueue()
     for i, t in enumerate(times):
         q.push(t, (t, i))
-    expected = sorted(((t, i) for i, t in enumerate(times)))
     drained = []
-    while q:
-        assert q.min_time() == (expected[len(drained)][0] if expected else None)
-        _, bucket = q.pop_bucket()
-        drained.extend(bucket if type(bucket) is list else [bucket])
-    assert drained == expected
-    assert q.min_time() is None
-
-
-def test_same_timestamp_fifo_tie_break():
-    """Entries sharing a timestamp pop in insertion order, even when
-    interleaved with cancellations and other timestamps."""
-    q = CalendarQueue()
-    first = q.schedule(1.0, "first")
-    q.schedule(0.5, "early")
-    second = q.schedule(1.0, "second")
-    q.schedule(1.0, "third")
-    q.cancel(second)
-    assert [q.pop() for _ in range(3)] == [
-        (0.5, "early"),
-        (1.0, "first"),
-        (1.0, "third"),
-    ]
+    advanced = []
+    while q._times:
+        fifo = deque()
+        advanced.append(q.advance_onto(fifo))
+        # One bucket per call: every entry carries the returned time.
+        assert {t for t, _ in fifo} == {advanced[-1]}
+        drained.extend(fifo)
+    assert advanced == sorted(set(times))
+    assert [t for t, _ in drained] == sorted(times)
+    for t in set(times):
+        seqs = [i for when, i in drained if when == t]
+        assert seqs == sorted(seqs)
+    assert sorted(drained) == sorted((t, i) for i, t in enumerate(times))
+    with pytest.raises(IndexError):
+        q.advance_onto(deque())
 
 
 def test_advance_onto_splices_whole_bucket():
@@ -145,13 +58,14 @@ def test_advance_onto_splices_whole_bucket():
     q.push(2.0, ("b", 0))
     q.push(1.0, ("a", 0))
     q.push(2.0, ("b", 1))
+    q.push(2.0, ("b", 2))
     fifo = deque()
     assert q.advance_onto(fifo) == 1.0
     assert list(fifo) == [("a", 0)]
     fifo.clear()
     assert q.advance_onto(fifo) == 2.0
-    assert list(fifo) == [("b", 0), ("b", 1)]
-    assert not q
+    assert list(fifo) == [("b", 0), ("b", 1), ("b", 2)]
+    assert not q._times and not q._buckets
     with pytest.raises(IndexError):
         q.advance_onto(fifo)
 

@@ -1,13 +1,16 @@
 """The two-level shard tree: region ring over per-region shard rings.
 
+Every deployment is a tree; the default (``regions=None``) is one
+region, where every shard pair holds a direct session ("flat" below).
 Three promises, each pinned here:
 
 * **parity** — a one-region :class:`~repro.routing.sharding.ShardTree`
-  owns every key exactly as the flat
-  :class:`~repro.routing.sharding.ShardRing` does, and the
-  single-shard hierarchical deployment charges *integer-exactly* what
-  the flat deployment charges (the tree is free until it relays);
-* **relaying** — a hierarchical deployment answers every request with
+  owns every key exactly as a plain
+  :class:`~repro.routing.sharding.ShardRing` does, ``regions=1``
+  charges and reports *integer-exactly* what the default does, even
+  through a shard crash, and neither pushes a forwarding table (the
+  tree is free until it relays);
+* **relaying** — a multi-region deployment answers every request with
   the same route bytes the flat deployment computes, even when the
   front shard has no direct session to the owner and the query hops
   through region heads;
@@ -19,8 +22,10 @@ Three promises, each pinned here:
 
 import pytest
 
+from repro import faults, obs
 from repro.errors import ShardError
 from repro.load.engine import run_load_engine
+from repro.load.report import bench_doc
 from repro.load.shards import ShardedRoutingDeployment
 from repro.routing.sharding import ShardRing, ShardTree
 
@@ -144,3 +149,56 @@ class TestCostParity:
         assert tree.steady_counters == flat.steady_counters
         assert tree.shard_stats == flat.shard_stats
         assert tree.makespan_cycles == flat.makespan_cycles
+
+
+def _forwarding_pushes(regions):
+    """``configure_forwarding`` ecalls over setup, seal and a crash of
+    shard 0 (region 0's head) at 3 shards."""
+    tracer = obs.Tracer()
+    with obs.tracing(tracer):
+        dep = ShardedRoutingDeployment(
+            3, n_ases=12, seed=b"fwd-test", regions=regions
+        )
+        dep.register_all()
+        dep.seal()
+        dep.crash_shard(0)
+    return sum(
+        1 for span in tracer.spans
+        if span.name.endswith(".configure_forwarding")
+    )
+
+
+class TestOneRegionIsAllPairs:
+    """``regions=None`` and ``regions=1`` are one deployment: no relay
+    tables, and the same report byte for byte."""
+
+    @pytest.mark.parametrize("regions", [None, 1])
+    def test_one_region_pushes_no_forwarding(self, regions):
+        assert _forwarding_pushes(regions) == 0
+
+    def test_two_regions_push_forwarding(self):
+        # Regions {0: [0, 2], 1: [1]}: three tables at setup, then the
+        # two survivors' tables once shard 2 succeeds the dead head.
+        assert _forwarding_pushes(2) == 5
+
+    @staticmethod
+    def _doc(regions, batch, crash):
+        def run():
+            return bench_doc(
+                run_load_engine("routing", 40, 3, batch, 0, regions=regions)
+            )
+
+        if crash:
+            plan = faults.matrix_plan("shard_crash", 0)
+            with faults.active(plan):
+                doc = run()
+            assert plan.log.events, "the plan never fired"
+        else:
+            doc = run()
+        assert doc["config"].pop("regions") == regions
+        return doc
+
+    @pytest.mark.parametrize("crash", [False, True])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_default_report_equals_one_region(self, batch, crash):
+        assert self._doc(None, batch, crash) == self._doc(1, batch, crash)

@@ -10,11 +10,12 @@ has already fixed once:
   linger with ``timeout=REAP_LINGER`` on *every* iteration with work
   in flight, so this tie fires constantly — a regression would
   silently drop cells/records.
-* **PR 6** — ``CalendarQueue.cancel()`` after ``pop()`` must be a
-  refused no-op.  Every linger timeout that *loses* (a message arrives
-  first) cancels its already-popped-or-pending timer; the ring keeps
-  the same discipline for serviced tickets: once reaped, a ticket is
-  released and any later reap of it is refused.
+* **Stale entries** — a stale entry must never act twice.  The
+  calendar queue cancels nothing: a linger timeout that *loses* (a
+  message arrives first) still fires, and the kernel's wake token
+  makes it a no-op.  The ring keeps the same discipline for serviced
+  tickets: once reaped, a ticket is released and any later reap of it
+  is refused.
 
 Both are pinned here against the ring shapes, on both kernels.
 """

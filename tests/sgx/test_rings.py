@@ -199,6 +199,7 @@ def test_property_live_worker_preserves_order_and_books(values, harvest_depth):
         direction="ocall",
         harvest_depth=harvest_depth,
         capacity=64,
+        worker=True,
     )
     assert ring.worker_running
     for value in values:
@@ -236,11 +237,18 @@ class TestConstruction:
             _make_ring(platform, mode="panic")
 
     def test_worker_defaults_by_direction(self, platform):
-        # Host cores are cheap: the ocall direction polls by default.
-        assert _make_ring(platform, direction="ocall").worker_running
-        # An in-enclave poller burns a TCS + core: ecall defaults off.
-        assert not _make_ring(platform, direction="ecall").worker_running
-        assert _make_ring(platform, direction="ecall", worker=True).worker_running
+        # An async ring runs no poller unless asked, in either direction.
+        for direction in RingPair.DIRECTIONS:
+            assert not _make_ring(platform, direction=direction).worker_running
+            assert _make_ring(
+                platform, direction=direction, worker=True
+            ).worker_running
+            # A sync caller spins on its slot: its ring needs a worker.
+            with pytest.raises(SgxError, match="worker"):
+                _make_ring(platform, direction=direction, mode="sync")
+            assert _make_ring(
+                platform, direction=direction, mode="sync", worker=True
+            ).worker_running
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +290,7 @@ class TestCosts:
 
     def test_adaptive_worker_spin_sleep_doorbell_cycle(self, platform):
         assert SPIN_BUDGET == 4
-        ring = _make_ring(platform, direction="ocall", harvest_depth=8)
+        ring = _make_ring(platform, direction="ocall", harvest_depth=8, worker=True)
         for i in range(8):
             ring.submit(_value_of, (i,))
         stats = ring.stats
@@ -298,7 +306,7 @@ class TestCosts:
         assert stats.fallback_crossings == 0
 
     def test_doorbell_charges_wakeup_cost(self, platform):
-        ring = _make_ring(platform, direction="ocall", harvest_depth=64)
+        ring = _make_ring(platform, direction="ocall", harvest_depth=64, worker=True)
         for i in range(SPIN_BUDGET):  # exhausts the spin budget
             ring.submit(_value_of, (i,))
         assert ring.stats.sleeps == 1
@@ -313,7 +321,7 @@ class TestCosts:
         )
 
     def test_worker_poll_charged_to_worker_domain(self, platform):
-        ring = _make_ring(platform, direction="ocall", harvest_depth=2)
+        ring = _make_ring(platform, direction="ocall", harvest_depth=2, worker=True)
         before = platform.accountant.snapshot()
         ring.submit(_value_of, (0,))
         ring.submit(_value_of, (1,))  # hits harvest_depth: poll pass
@@ -339,7 +347,7 @@ class TestBackpressure:
         # drain through the live worker charges no spin-wait either.
         ring = _make_ring(
             platform, direction="ocall", capacity=2, harvest_depth=100,
-            mode="sync",
+            mode="sync", worker=True,
         )
         ran = []
         before = platform.accountant.snapshot()
@@ -354,20 +362,6 @@ class TestBackpressure:
         assert ring.stats.max_depth == 2
         ring.flush()
         assert ran == list(range(5))
-
-    def test_block_without_worker_degrades_to_crossing(self, platform):
-        ring = _make_ring(platform, capacity=2, mode="sync", worker=False)
-        assert not ring.worker_running
-        ran = []
-        for i in range(3):
-            ring.post(ran.append, (i,))
-        # The blocked caller has no worker to wait on: the overflow
-        # must degrade to the fallback crossing, not hang.
-        assert ring.stats.overflows == 1
-        assert ring.stats.fallback_crossings == 1
-        assert ran == [0, 1]
-        ring.flush()
-        assert ran == [0, 1, 2]
 
     def test_fallback_mode_crossing_drains_everything(self, platform):
         # An async ring falls back even with a live worker to wait on.
@@ -390,7 +384,9 @@ class TestLifecycleAndHooks:
     def test_paused_worker_service_pays_crossing(self, platform):
         # An injected stall deschedules the worker for one harvest pass:
         # that pass degrades to one crossing that drains the ring.
-        ring = _make_ring(platform, direction="ocall", harvest_depth=100)
+        ring = _make_ring(
+            platform, direction="ocall", harvest_depth=100, worker=True
+        )
         ring.submit(_value_of, (5,))
         plan = faults.FaultPlan(0, [faults.FaultRule(faults.RING_WORKER_STALL)])
         with faults.active(plan):
@@ -403,7 +399,7 @@ class TestLifecycleAndHooks:
     def test_validate_rejection_propagates(self, platform):
         # The Iago discipline: an untrusted result passes the enclave's
         # validator before any trusted code consumes it.
-        ring = _make_ring(platform, direction="ocall", mode="sync")
+        ring = _make_ring(platform, direction="ocall", mode="sync", worker=True)
 
         def reject(_value):
             raise SgxError("iago: implausible ocall result")

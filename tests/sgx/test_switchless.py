@@ -72,14 +72,17 @@ def _domain_delta(platform, enclave, before):
 class TestQueueMechanics:
     def test_invalid_parameters_rejected(self, platform, author):
         enclave = platform.load_enclave(WorkloadProgram(), author_key=author)
+        sync = {"mode": "sync", "worker": True}
         with pytest.raises(SgxError):
-            RingPair(platform, "sideways", enclave.domain, mode="sync")
+            RingPair(platform, "sideways", enclave.domain, **sync)
         with pytest.raises(SgxError):
-            RingPair(platform, "ocall", enclave.domain, capacity=0, mode="sync")
+            RingPair(platform, "ocall", enclave.domain, capacity=0, **sync)
         with pytest.raises(SgxError):
-            RingPair(platform, "ocall", enclave.domain, harvest_depth=0, mode="sync")
+            RingPair(platform, "ocall", enclave.domain, harvest_depth=0, **sync)
         with pytest.raises(SgxError):
             RingPair(platform, "ocall", enclave.domain, mode="sideways")
+        with pytest.raises(SgxError, match="worker"):
+            RingPair(platform, "ocall", enclave.domain, mode="sync")
 
     def test_call_returns_result_with_zero_crossings(self, enclave, platform):
         before = platform.accountant.snapshot()
